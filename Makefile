@@ -54,11 +54,11 @@ bench:
 # baseline (see EXPERIMENTS.md "Benchmark trajectory"). Race-free: the
 # gate measures allocations, which -race instrumentation would distort.
 bench-smoke:
-	$(GO) run ./cmd/bench -baseline BENCH_PR10.json -check -out /dev/null
+	$(GO) run ./cmd/bench -baseline BENCH_PR12.json -check -out /dev/null
 
 # Regenerate the committed baseline after an intentional perf change.
 bench-snapshot:
-	$(GO) run ./cmd/bench -out BENCH_PR10.json
+	$(GO) run ./cmd/bench -out BENCH_PR12.json
 
 # Documentation gate: every relative link in the maintained docs must
 # resolve, and README.md's architecture inventory must name every

@@ -112,8 +112,9 @@ func Cases() []Case {
 		{
 			// The deadline index's per-service operation pair at scale-
 			// scenario depth: remove the earliest of 1024 started streams,
-			// re-file it at its next deadline. O(log n) sifts on a reused
-			// backing array — steady state must stay at zero allocs/op.
+			// re-file it at its next deadline. A head advance and a tail
+			// append on reused backing arrays — steady state must stay at
+			// zero allocs/op.
 			Name:  "engine/deadline-index-1024",
 			Iters: 500_000,
 			Bench: func(b *testing.B) {
@@ -121,6 +122,21 @@ func Cases() []Case {
 				b.ReportAllocs()
 				b.ResetTimer()
 				engine.DeadlineIndexChurn(1024, b.N)
+			},
+		},
+		{
+			// What a Round-Robin dispatch pays at the scale scenario's 700
+			// streams per disk: the same pair, then the lazy-start rule
+			// scanned over the 700 ascending deadlines in place — the part
+			// of a dispatch the churn case above cannot see.
+			Name:  "engine/dispatch-lazy-start-700",
+			Iters: 500_000,
+			Bench: func(b *testing.B) {
+				const w = vod.Seconds(1) / 64       // any positive service time
+				engine.LazyStartChurn(700, 1400, w) // warm code paths
+				b.ReportAllocs()
+				b.ResetTimer()
+				engine.LazyStartChurn(700, b.N, w)
 			},
 		},
 	}

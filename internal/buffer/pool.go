@@ -23,32 +23,27 @@ import (
 // Pool is the shared memory of one server. It is not safe for concurrent
 // use; in the simulator each pool belongs to one server process.
 type Pool struct {
-	budget   si.Bits // 0 means unlimited
-	page     si.Bits // allocation granularity; 0 means exact (variable length)
-	inflight si.Bits // reserved for fills in progress
-	pinned   si.Bits // resident outside any stream (prefix cache)
-	streams  map[int]*state
-	// order lists states in a deterministic order (attach order with
-	// swap-removal) so Usage sums floats identically across runs; map
-	// iteration order would make high-water marks seed-dependent.
-	order      []*state
+	budget  si.Bits     // 0 means unlimited
+	page    si.Bits     // allocation granularity; 0 means exact (variable length)
+	pinned  si.Bits     // resident outside any stream (prefix cache)
+	streams map[int]int // stream id -> position in order
+	// order holds the states densely in a deterministic order (attach
+	// order with swap-removal) so Usage sums floats identically across
+	// runs — map iteration order would make high-water marks seed-
+	// dependent — and walks contiguous memory. Detached slots are reused
+	// by later attaches, so a long-running pool's bookkeeping is
+	// allocation-free in steady state.
+	order      []state
 	underruns  int
 	starved    si.Seconds
 	highWater  si.Bits
 	highAt     si.Seconds
 	tol        si.Seconds // underrun grace; 0 means UnderrunTolerance
 	onUnderrun func(id int, now, gap si.Seconds)
-	// free interns detached state records for reuse: attach/detach is
-	// per-request churn (hundreds of streams per simulated hour), and
-	// recycling the records keeps a long-running pool's bookkeeping
-	// allocation-free in steady state. Bounded by the pool's concurrent
-	// high-water stream count.
-	free []*state
 }
 
 type state struct {
-	idx      int // position in Pool.order
-	id       int // stream id, for the underrun callback
+	id       int // stream id, for the underrun callback and swap-removal
 	rate     si.BitRate
 	level    si.Bits
 	touched  si.Seconds
@@ -92,7 +87,7 @@ func NewPagedPool(budget, page si.Bits) *Pool {
 	if page < 0 {
 		panic(fmt.Sprintf("buffer: negative page size %v", page))
 	}
-	return &Pool{budget: budget, page: page, streams: make(map[int]*state)}
+	return &Pool{budget: budget, page: page, streams: make(map[int]int)}
 }
 
 // footprint rounds a content amount up to the pool's allocation unit.
@@ -143,7 +138,7 @@ func (p *Pool) Pin(bits si.Bits, now si.Seconds) {
 		panic(fmt.Sprintf("buffer: negative pin %v", bits))
 	}
 	p.pinned += p.footprint(bits)
-	p.note(now)
+	p.note(p.Usage(now), now)
 }
 
 // Pinned reports the pool's pinned memory.
@@ -165,32 +160,20 @@ func (p *Pool) Attach(id int, rate si.BitRate, now si.Seconds) {
 	if _, ok := p.streams[id]; ok {
 		panic(fmt.Sprintf("buffer: stream %d already attached", id))
 	}
-	var s *state
-	if n := len(p.free); n > 0 {
-		s = p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		*s = state{}
-	} else {
-		s = &state{}
-	}
-	s.idx, s.id, s.rate, s.touched, s.emptyAt = len(p.order), id, rate, now, now
-	p.streams[id] = s
-	p.order = append(p.order, s)
+	p.streams[id] = len(p.order)
+	p.order = append(p.order, state{id: id, rate: rate, touched: now, emptyAt: now})
 }
 
 // Detach releases everything the stream holds and forgets it.
 func (p *Pool) Detach(id int, now si.Seconds) {
-	s := p.must(id)
-	p.drain(s, now)
-	p.inflight -= s.reserved
+	p.drain(p.must(id), now)
+	i, last := p.streams[id], len(p.order)-1
 	delete(p.streams, id)
-	last := len(p.order) - 1
-	p.order[s.idx] = p.order[last]
-	p.order[s.idx].idx = s.idx
-	p.order[last] = nil
+	if i != last {
+		p.order[i] = p.order[last]
+		p.streams[p.order[i].id] = i
+	}
 	p.order = p.order[:last]
-	p.free = append(p.free, s)
 }
 
 // drain advances a stream's level to now, recording any underrun once per
@@ -235,8 +218,10 @@ func (p *Pool) drain(s *state, now si.Seconds) {
 }
 
 // BeginFill reserves memory for a fill of the given size. It reports
-// false, reserving nothing, when the budget cannot cover it. A stream can
-// have at most one fill in flight.
+// false, reserving nothing, when the reservation would take the pool's
+// usage past the budget. A stream can have at most one fill in flight.
+// The one Usage walk serves both the budget check and the high-water
+// sample.
 func (p *Pool) BeginFill(id int, size si.Bits, now si.Seconds) bool {
 	s := p.must(id)
 	if size < 0 {
@@ -246,18 +231,21 @@ func (p *Pool) BeginFill(id int, size si.Bits, now si.Seconds) bool {
 		panic(fmt.Sprintf("buffer: stream %d already has a fill in flight", id))
 	}
 	p.drain(s, now)
-	if p.budget > 0 && p.Usage(now)+p.footprint(size) > p.budget {
+	s.reserved = size
+	u := p.Usage(now)
+	if p.budget > 0 && u > p.budget {
+		s.reserved = 0
 		return false
 	}
-	s.reserved = size
 	s.pending = true
-	p.inflight += size
-	p.note(now)
+	p.note(u, now)
 	return true
 }
 
 // CompleteFill lands the in-flight fill: the reserved data becomes buffer
-// level and consumption (re)starts if the stream was starving.
+// level and consumption (re)starts if the stream was starving. Moving a
+// reservation into the level at one instant leaves Usage unchanged, so
+// there is no high-water sample here.
 func (p *Pool) CompleteFill(id int, now si.Seconds) {
 	s := p.must(id)
 	if !s.pending {
@@ -265,13 +253,11 @@ func (p *Pool) CompleteFill(id int, now si.Seconds) {
 	}
 	p.drain(s, now)
 	s.level += s.reserved
-	p.inflight -= s.reserved
 	s.reserved = 0
 	s.pending = false
 	s.started = true
 	s.starving = false
 	s.emptyAt = now + s.rate.TimeToTransfer(s.level)
-	p.note(now)
 }
 
 // SetRate changes a stream's consumption rate mid-viewing — the engine's
@@ -318,7 +304,8 @@ func (p *Pool) EmptyAt(id int) si.Seconds { return p.must(id).emptyAt }
 // pool's allocation unit, plus any pinned memory.
 func (p *Pool) Usage(now si.Seconds) si.Bits {
 	total := p.pinned
-	for _, s := range p.order {
+	for i := range p.order {
+		s := &p.order[i]
 		held := s.reserved
 		if s.started && !s.starving {
 			if level := s.level - s.rate.DataIn(now-s.touched); level > 0 {
@@ -330,11 +317,12 @@ func (p *Pool) Usage(now si.Seconds) si.Bits {
 	return total
 }
 
-// note samples usage for the high-water mark. Fills are the only events
-// that increase usage, so sampling at BeginFill/CompleteFill captures the
-// true peak.
-func (p *Pool) note(now si.Seconds) {
-	if u := p.Usage(now); u > p.highWater {
+// note records a usage sample for the high-water mark. Reserving a fill
+// and pinning are the only events that increase usage — levels only
+// drain in between, and a landing fill merely moves its reservation into
+// the level — so sampling at BeginFill and Pin captures the true peak.
+func (p *Pool) note(u si.Bits, now si.Seconds) {
+	if u > p.highWater {
 		p.highWater, p.highAt = u, now
 	}
 }
@@ -362,10 +350,12 @@ func (p *Pool) Stats() Stats {
 // Len reports the number of attached streams.
 func (p *Pool) Len() int { return len(p.streams) }
 
+// must returns id's state record. The pointer aims into order, so it is
+// valid only until the next Attach or Detach.
 func (p *Pool) must(id int) *state {
-	s, ok := p.streams[id]
+	i, ok := p.streams[id]
 	if !ok {
 		panic(fmt.Sprintf("buffer: unknown stream %d", id))
 	}
-	return s
+	return &p.order[i]
 }

@@ -2,38 +2,26 @@ package engine
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/si"
 )
 
 // deadlineIndex orders a disk's started streams that still need service
-// by ascending (deadline, admitSeq) — the Round-Robin/BubbleUp scan
-// winner with its tie-breaks. Deadlines change once per fill completion,
-// so insert/remove are the hot operations; min backs every scheduling
-// decision; the ascending traversal feeds only the lazy-start
-// computation at idle transitions.
-//
-// The index holds the deadline in each stream's dlKey (frozen at insert;
-// dlFix re-files a stream whose deadline moved), and keeps the stream's
-// position in dlPos so removal needs no search.
-type deadlineIndex interface {
-	// insert files st by its (dlKey, admitSeq). st must not be indexed.
-	insert(st *Stream)
-	// remove unfiles st. Panics if st's position is out of sync.
-	remove(st *Stream)
-	// min returns the indexed stream with the smallest (dlKey, admitSeq),
-	// or nil when the index is empty.
-	min() *Stream
-	// size reports the number of indexed streams.
-	size() int
-	// appendAscending appends the indexed streams' deadline values to
-	// scratch in ascending order and returns the grown slice. Equal
-	// deadlines are interchangeable as values, so no admitSeq tie-break
-	// is promised here — only min carries the full order.
-	appendAscending(scratch []si.Seconds) []si.Seconds
-	// check validates the internal structure (tests only).
-	check() error
+// by ascending (dlKey, admitSeq) — the Round-Robin/BubbleUp scan winner
+// with its tie-breaks. Round-Robin's lazy-start rule reads the whole
+// ascending deadline sequence on nearly every dispatch, so the index
+// keeps it materialized: two parallel slices, contiguous keys and their
+// streams, sorted behind a moving head. A fill completion — remove the
+// earliest, re-file at the latest — is a head advance plus a tail
+// append; a mid-queue insert or remove is a binary search plus a memmove
+// of the shorter side, bounded by DeriveN entries. (A heap would have to
+// be copied and sorted per dispatch: measured at 88 % of a depth-700
+// run.) keys[i] mirrors sts[i].dlKey, frozen at insert — dlFix re-files
+// a stream whose deadline moved — and the live region is [head, len).
+type deadlineIndex struct {
+	keys []si.Seconds
+	sts  []*Stream
+	head int
 }
 
 // dlBefore is the index's strict total order.
@@ -41,111 +29,124 @@ func dlBefore(a, b *Stream) bool {
 	return a.dlKey < b.dlKey || (a.dlKey == b.dlKey && a.admitSeq < b.admitSeq)
 }
 
-// deadlineHeap is a 4-ary min-heap deadlineIndex: O(log n) insert and
-// remove with zero steady-state allocation (the backing array is reused,
-// positions live in the streams). 4-ary rather than binary because the
-// heap holds pointers: a quarter of the depth means a quarter of the
-// cache misses on the sift path, and the 4-child min scan stays in one
-// cache line.
-type deadlineHeap struct {
-	items []*Stream
-}
+// size reports the number of indexed streams.
+func (x *deadlineIndex) size() int { return len(x.keys) - x.head }
 
-const dlArity = 4
-
-func newDeadlineIndex() deadlineIndex { return &deadlineHeap{} }
-
-func (h *deadlineHeap) size() int { return len(h.items) }
-
-func (h *deadlineHeap) min() *Stream {
-	if len(h.items) == 0 {
+// min returns the indexed stream with the smallest (dlKey, admitSeq), or
+// nil when the index is empty.
+func (x *deadlineIndex) min() *Stream {
+	if x.head == len(x.sts) {
 		return nil
 	}
-	return h.items[0]
+	return x.sts[x.head]
 }
 
-func (h *deadlineHeap) insert(st *Stream) {
-	st.dlPos = len(h.items)
-	h.items = append(h.items, st)
-	h.siftUp(st.dlPos)
+// ascending returns the indexed deadlines in ascending order: a
+// read-only view, valid until the next insert or remove.
+func (x *deadlineIndex) ascending() []si.Seconds { return x.keys[x.head:] }
+
+// search returns the first live position whose entry does not precede
+// (key, seq) — where such an entry is filed, or would be. The two ends
+// are probed first: a fill completion looks up the head (the stream just
+// served) and then a slot past the tail (its next deadline).
+func (x *deadlineIndex) search(key si.Seconds, seq int64) int {
+	precedes := func(m int) bool {
+		k := x.keys[m]
+		return k < key || (k == key && x.sts[m].admitSeq < seq)
+	}
+	lo, hi := x.head, len(x.keys)
+	if lo == hi || !precedes(lo) {
+		return lo
+	}
+	if precedes(hi - 1) {
+		return hi
+	}
+	for lo, hi = lo+1, hi-1; lo < hi; {
+		if m := int(uint(lo+hi) >> 1); precedes(m) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
-func (h *deadlineHeap) remove(st *Stream) {
-	pos, last := st.dlPos, len(h.items)-1
-	if pos < 0 || pos > last || h.items[pos] != st {
+// find returns st's position, or -1 when st is not filed under its
+// current (dlKey, admitSeq) — never inserted, or re-keyed while indexed.
+func (x *deadlineIndex) find(st *Stream) int {
+	pos := x.search(st.dlKey, st.admitSeq)
+	if pos == len(x.sts) || x.sts[pos] != st || x.keys[pos] != st.dlKey {
+		return -1
+	}
+	return pos
+}
+
+// insert files st by its (dlKey, admitSeq). st must not be indexed.
+func (x *deadlineIndex) insert(st *Stream) {
+	pos, n := x.search(st.dlKey, st.admitSeq), len(x.keys)
+	if x.head > 0 && pos-x.head < n-pos {
+		// The head side is shorter: slide it into the vacated slot.
+		copy(x.keys[x.head-1:], x.keys[x.head:pos])
+		copy(x.sts[x.head-1:], x.sts[x.head:pos])
+		x.head--
+		pos--
+	} else {
+		if n == cap(x.keys) && x.head >= n-x.head {
+			// Full, and at least half of it is the dead prefix the head
+			// left behind: reclaim that instead of growing.
+			pos -= x.head
+			n = copy(x.keys, x.keys[x.head:])
+			copy(x.sts, x.sts[x.head:])
+			clear(x.sts[n:])
+			x.keys, x.sts, x.head = x.keys[:n], x.sts[:n], 0
+		}
+		x.keys = append(x.keys, 0)
+		x.sts = append(x.sts, nil)
+		if pos < n { // re-filing at the latest moves nothing
+			copy(x.keys[pos+1:], x.keys[pos:n])
+			copy(x.sts[pos+1:], x.sts[pos:n])
+		}
+	}
+	x.keys[pos], x.sts[pos] = st.dlKey, st
+}
+
+// remove unfiles st, panicking if find cannot locate it.
+func (x *deadlineIndex) remove(st *Stream) {
+	pos, last := x.find(st), len(x.keys)-1
+	if pos < 0 {
 		panic("engine: deadline index out of sync")
 	}
-	moved := h.items[last]
-	h.items[last] = nil
-	h.items = h.items[:last]
-	st.dlPos = -1
-	if pos == last {
-		return
-	}
-	h.items[pos] = moved
-	moved.dlPos = pos
-	if !h.siftDown(pos) {
-		h.siftUp(pos)
+	if pos-x.head <= last-pos {
+		if pos > x.head { // serving the earliest moves nothing
+			copy(x.keys[x.head+1:], x.keys[x.head:pos])
+			copy(x.sts[x.head+1:], x.sts[x.head:pos])
+		}
+		x.sts[x.head] = nil
+		x.head++
+	} else {
+		copy(x.keys[pos:], x.keys[pos+1:])
+		copy(x.sts[pos:], x.sts[pos+1:])
+		x.sts[last] = nil
+		x.keys, x.sts = x.keys[:last], x.sts[:last]
 	}
 }
 
-func (h *deadlineHeap) siftUp(pos int) {
-	it := h.items
-	st := it[pos]
-	for pos > 0 {
-		parent := (pos - 1) / dlArity
-		p := it[parent]
-		if !dlBefore(st, p) {
-			break
-		}
-		it[pos] = p
-		p.dlPos = pos
-		pos = parent
+// check validates the structure: keys mirror dlKey and the live region
+// is strictly ascending (so no stream is filed twice).
+func (x *deadlineIndex) check() error {
+	if len(x.keys) != len(x.sts) || x.head > len(x.keys) {
+		return fmt.Errorf("%d keys, %d streams, head %d", len(x.keys), len(x.sts), x.head)
 	}
-	it[pos] = st
-	st.dlPos = pos
-}
-
-// siftDown restores the heap below pos, reporting whether anything moved.
-func (h *deadlineHeap) siftDown(pos int) bool {
-	it := h.items
-	st := it[pos]
-	start := pos
-	n := len(it)
-	for {
-		first := pos*dlArity + 1
-		if first >= n {
-			break
+	for i := x.head; i < len(x.sts); i++ {
+		st := x.sts[i]
+		if st == nil || x.keys[i] != st.dlKey {
+			return fmt.Errorf("position %d: key %v does not mirror its stream", i, x.keys[i])
 		}
-		best := first
-		end := first + dlArity
-		if end > n {
-			end = n
+		if i > x.head && !dlBefore(x.sts[i-1], st) {
+			return fmt.Errorf("order violated at position %d", i)
 		}
-		for c := first + 1; c < end; c++ {
-			if dlBefore(it[c], it[best]) {
-				best = c
-			}
-		}
-		if !dlBefore(it[best], st) {
-			break
-		}
-		it[pos] = it[best]
-		it[pos].dlPos = pos
-		pos = best
 	}
-	it[pos] = st
-	st.dlPos = pos
-	return pos != start
-}
-
-func (h *deadlineHeap) appendAscending(scratch []si.Seconds) []si.Seconds {
-	base := len(scratch)
-	for _, st := range h.items {
-		scratch = append(scratch, st.dlKey)
-	}
-	slices.Sort(scratch[base:])
-	return scratch
+	return nil
 }
 
 // DeadlineIndexChurn exercises the deadline index with its hot-path
@@ -153,20 +154,27 @@ func (h *deadlineHeap) appendAscending(scratch []si.Seconds) []si.Seconds {
 // rounds times remove the earliest stream and re-file it behind the rest
 // — each fill completion's remove+insert pair. It returns the final
 // minimum's admission sequence as a checksum. The function exists for
-// the tracked benchmark cases (internal/bench): after the first round
-// the backing array stops growing, so cmd/bench's allocs/op gate pins
-// the steady-state index path to zero allocations.
+// the tracked benchmark cases (internal/bench): once the backing arrays
+// hold twice the population they stop growing, so cmd/bench's allocs/op
+// gate pins the steady-state index path to zero allocations.
 func DeadlineIndexChurn(n, rounds int) int64 {
+	checksum, _ := LazyStartChurn(n, rounds, 0)
+	return checksum
+}
+
+// LazyStartChurn is DeadlineIndexChurn plus, for w > 0, what a
+// Round-Robin dispatch pays on top of the pair: after each re-file the
+// lazy-start rule is evaluated over all n ascending deadlines at worst
+// service time w. The sum of the computed starts is a second checksum.
+func LazyStartChurn(n, rounds int, w si.Seconds) (checksum int64, starts si.Seconds) {
 	if n <= 0 {
-		return -1
+		return -1, 0
 	}
-	idx := newDeadlineIndex()
-	streams := make([]*Stream, n)
+	var idx deadlineIndex
 	deadline := si.Seconds(0)
-	for i := range streams {
+	for i := 0; i < n; i++ {
 		deadline += si.Seconds(1+i%7) / 16
-		streams[i] = &Stream{id: i, admitSeq: int64(i), dlKey: deadline, dlPos: -1}
-		idx.insert(streams[i])
+		idx.insert(&Stream{id: i, admitSeq: int64(i), dlKey: deadline})
 	}
 	seq := int64(n)
 	for r := 0; r < rounds; r++ {
@@ -176,21 +184,9 @@ func DeadlineIndexChurn(n, rounds int) int64 {
 		seq++
 		st.dlKey, st.admitSeq = deadline, seq
 		idx.insert(st)
-	}
-	return idx.min().admitSeq
-}
-
-func (h *deadlineHeap) check() error {
-	for i, st := range h.items {
-		if st.dlPos != i {
-			return fmt.Errorf("stream %d dlPos %d at heap index %d", st.id, st.dlPos, i)
-		}
-		if i > 0 {
-			parent := (i - 1) / dlArity
-			if dlBefore(st, h.items[parent]) {
-				return fmt.Errorf("heap order violated at index %d (parent %d)", i, parent)
-			}
+		if w > 0 {
+			starts += latestStartSorted(idx.ascending(), w)
 		}
 	}
-	return nil
+	return idx.min().admitSeq, starts
 }

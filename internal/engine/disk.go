@@ -37,7 +37,6 @@ type Stream struct {
 	slot        int        // index in Disk.streams (admission order)
 	admitSeq    int64      // monotone admission sequence, ties in the deadline index
 	dlKey       si.Seconds // deadline value the deadline index holds
-	dlPos       int        // position in the deadline index, -1 outside
 	inDl        bool       // member of the deadline index
 	departT     Timer      // pending departure, rescheduled on Extend
 	started     bool       // first fill has landed
@@ -188,12 +187,10 @@ type Disk struct {
 	admitSeq int64 // next stream's admission sequence number
 
 	// deadlines indexes started streams that still need service by
-	// (deadline, admitSeq). It replaces both the per-dispatch min-deadline
-	// scan and the per-period sort.Float64s of the lazy-start computation:
-	// a deadline changes only at fill completion, so the index absorbs an
-	// O(log n) heap fixup there instead of an O(n log n) sort at every
-	// scheduling decision (and instead of the O(n) memmove the previous
-	// sorted-slice index paid — material at modern-disk stream counts).
+	// (deadline, admitSeq), kept sorted: a deadline changes only at fill
+	// completion, so the index absorbs a head advance and a tail append
+	// there, and every scheduling decision reads the earliest stream and
+	// the ascending deadline sequence without scanning or sorting.
 	deadlines deadlineIndex
 
 	// fresh is a FIFO of admitted streams awaiting their first fill.
@@ -225,9 +222,8 @@ type Disk struct {
 	pending     fifo[estEntry]
 
 	// scratch buffers reused across dispatches.
-	deadlineScratch []si.Seconds
-	dlMerge         []si.Seconds
-	cylSort         cylSorter
+	dlMerge []si.Seconds
+	cylSort cylSorter
 }
 
 // klogRefresh bounds how stale the cached k_log may get between arrivals:
@@ -237,14 +233,13 @@ const klogRefresh = si.Seconds(10)
 
 func newDisk(sys *System, id int) *Disk {
 	d := &Disk{
-		sys:       sys,
-		id:        id,
-		clock:     sys.domain.DiskClock(id),
-		disk:      diskmodel.NewDisk(sys.cfg.Spec, sys.cfg.Seed*1000003+int64(id)),
-		pool:      buffer.NewPagedPool(0, sys.cfg.PageSize),
-		book:      core.NewBook(),
-		est:       core.NewEstimator(sys.cfg.TLog),
-		deadlines: newDeadlineIndex(),
+		sys:   sys,
+		id:    id,
+		clock: sys.domain.DiskClock(id),
+		disk:  diskmodel.NewDisk(sys.cfg.Spec, sys.cfg.Seed*1000003+int64(id)),
+		pool:  buffer.NewPagedPool(0, sys.cfg.PageSize),
+		book:  core.NewBook(),
+		est:   core.NewEstimator(sys.cfg.TLog),
 	}
 	if sys.cfg.ChurnSafeAdmission {
 		d.budget = core.NewBook()
@@ -522,7 +517,6 @@ func (d *Disk) admitFromQueue() {
 			deadline:   d.now(), // fresh: due immediately
 			firstFill:  -1,
 			admittedAt: d.now(),
-			dlPos:      -1,
 			slot:       len(d.streams),
 			admitSeq:   d.admitSeq,
 			active:     true,
@@ -599,12 +593,6 @@ func (d *Disk) dlRemove(st *Stream) {
 func (d *Disk) dlFix(st *Stream) {
 	d.dlRemove(st)
 	d.dlInsert(st)
-}
-
-// minDeadlineStream returns the started stream with the earliest
-// deadline still needing service (admission order breaks ties), or nil.
-func (d *Disk) minDeadlineStream() *Stream {
-	return d.deadlines.min()
 }
 
 // firstFresh returns the earliest-admitted stream awaiting its first
@@ -916,7 +904,7 @@ const lazyMarginServices = 2
 // latestStartSorted computes the safe lazy start for servicing a batch of
 // streams sequentially when the service order may be adversarial with
 // respect to deadlines: every deadline d_(i) (ascending — the input MUST
-// already be sorted, which deadlineIndex.appendAscending provides) must
+// already be sorted, which deadlineIndex.ascending provides) must
 // allow i services of duration w first, so start <= min_i(d_(i) − i·w),
 // minus the safety cushion.
 func latestStartSorted(deadlines []si.Seconds, w si.Seconds) si.Seconds {
@@ -936,15 +924,33 @@ func maxBits(a, b si.Bits) si.Bits {
 	return b
 }
 
-// sanity check helper used in tests.
+// invariants checks the disk's structural bookkeeping between events:
+// capacity, stream slots, and the deadline index — well-formed and
+// holding exactly the started streams still fetching, each under its
+// current deadline. The engine's tests and fuzz target run it after
+// every clock event.
 func (d *Disk) invariants() error {
 	if len(d.streams) > d.sys.admitCap {
 		return fmt.Errorf("engine: disk %d exceeds its admit capacity %d with %d streams", d.id, d.sys.admitCap, len(d.streams))
 	}
+	indexed := 0
 	for i, st := range d.streams {
 		if st.slot != i {
 			return fmt.Errorf("engine: disk %d stream %d slot %d at index %d", d.id, st.id, st.slot, i)
 		}
+		if st.inDl != (st.started && st.needService()) {
+			return fmt.Errorf("engine: disk %d stream %d inDl=%v but started=%v needService=%v", d.id, st.id, st.inDl, st.started, st.needService())
+		}
+		if !st.inDl {
+			continue
+		}
+		indexed++
+		if st.dlKey != st.deadline || d.deadlines.find(st) < 0 {
+			return fmt.Errorf("engine: disk %d stream %d (deadline %v) not filed under its key %v", d.id, st.id, st.deadline, st.dlKey)
+		}
+	}
+	if indexed != d.deadlines.size() {
+		return fmt.Errorf("engine: disk %d deadline index holds %d streams, %d marked inDl", d.id, d.deadlines.size(), indexed)
 	}
 	if err := d.deadlines.check(); err != nil {
 		return fmt.Errorf("engine: disk %d deadline index: %w", d.id, err)

@@ -57,8 +57,9 @@ func (a *admitAuditor) OnReject(disk int, req workload.Request, reason RejectRea
 // sizing tables cannot back — the committed count stays within
 // AdmitCap, the committed consumption bandwidth stays strictly below
 // the bandwidth cap (knee-halved when the knee scheme is on), a
-// rejection only happens when no ladder rung fits, and once every
-// viewer departs the committed bandwidth returns exactly to zero.
+// rejection only happens when no ladder rung fits, Disk.invariants holds
+// after every event, and once every viewer departs the committed
+// bandwidth returns exactly to zero.
 func FuzzLadderAdmit(f *testing.F) {
 	f.Add(uint8(2), false, false, []byte{10, 40, 81, 80, 202, 120})
 	f.Add(uint8(3), true, true, []byte{5, 200, 99, 10, 3, 255, 77, 31, 150, 64})
@@ -108,8 +109,9 @@ func FuzzLadderAdmit(f *testing.F) {
 			alloc = KneeAllocator{}
 			bwCap = KneeAllocator{}.AdmitCapBandwidth(spec.TransferRate)
 		}
+		vc := &auditClock{VirtualClock: NewVirtualClock()}
 		sys, err := New(Config{
-			Clock:     NewVirtualClock(),
+			Clock:     vc,
 			Allocator: alloc,
 			Method:    sched.NewMethod(sched.RoundRobin),
 			Spec:      spec,
@@ -124,7 +126,7 @@ func FuzzLadderAdmit(f *testing.F) {
 			t.Skip("ladder rejected by the engine")
 		}
 		sys.AttachObserver(&admitAuditor{t: t, sys: sys, lib: lib, bwCap: bwCap})
-		vc := sys.Clock().(*VirtualClock)
+		auditInvariants(t, vc, sys)
 		d := sys.Disk(0)
 
 		var now si.Seconds
@@ -143,6 +145,7 @@ func FuzzLadderAdmit(f *testing.F) {
 				req.Rate = ladder[int(b1/4)%len(ladder)]
 			}
 			sys.OnArrival(req)
+			vc.audit()
 			if c := d.Committed(); c > sys.AdmitCap() {
 				t.Fatalf("after arrival %d: %d committed, cap %d", req.ID, c, sys.AdmitCap())
 			}

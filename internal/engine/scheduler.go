@@ -70,10 +70,10 @@ func (p *rrScheduler) Next(now si.Seconds) (*Stream, si.Seconds) {
 	// Fresh streams (first fill pending) are BubbleUp work: serviced
 	// immediately, but never at the cost of starving a started buffer.
 	// Both are O(1) reads off the disk's maintained indexes: the deadline
-	// heap's min is the started stream with the earliest (deadline,
+	// index's min is the started stream with the earliest (deadline,
 	// admission) — the scan winner with its tie-breaks — and the fresh
 	// FIFO's head is the earliest-arrived newcomer.
-	started := p.d.minDeadlineStream()
+	started := p.d.deadlines.min()
 	fresh := p.d.firstFresh()
 	if started == nil && fresh == nil {
 		return nil, 0
@@ -125,19 +125,16 @@ func (p *rrScheduler) Next(now si.Seconds) (*Stream, si.Seconds) {
 	}
 	// Idle long enough that laziness matters: wake at the latest start
 	// that still lets every due buffer be refilled in deadline order.
-	// The deadline index yields the ascending deadline sequence; only
-	// the Fixed-Stretch ablation, whose waiting newcomers count as
-	// due-at-admission, needs their (also ascending) deadlines merged in
-	// (a gated BubbleUp newcomer does not: it waits for slack, it is not
-	// due).
-	scratch := p.d.deadlineScratch[:0]
-	if fresh == nil || p.bubbleUp {
-		scratch = p.d.deadlines.appendAscending(scratch)
-	} else {
-		scratch = mergeFreshDeadlines(p.d, scratch)
+	// The deadline index holds the ascending deadline sequence, scanned
+	// in place; only the Fixed-Stretch ablation, whose waiting newcomers
+	// count as due-at-admission, needs their (also ascending) deadlines
+	// merged in (a gated BubbleUp newcomer does not: it waits for slack,
+	// it is not due).
+	deadlines := p.d.deadlines.ascending()
+	if fresh != nil && !p.bubbleUp {
+		deadlines = mergeFreshDeadlines(p.d)
 	}
-	p.d.deadlineScratch = scratch
-	start := latestStartSorted(scratch, w)
+	start := latestStartSorted(deadlines, w)
 	if fresh != nil && dlAware && start >= now {
 		// The backlog affords the inserted service: pushed back by one
 		// worst service it still makes every deadline with a service-time
@@ -157,12 +154,12 @@ func (p *rrScheduler) Next(now si.Seconds) (*Stream, si.Seconds) {
 
 // mergeFreshDeadlines merges the started streams' deadlines with the
 // waiting fresh streams' admission-time deadlines, both ascending, into
-// one sorted sequence (the Fixed-Stretch lazy-start input).
-func mergeFreshDeadlines(d *Disk, scratch []si.Seconds) []si.Seconds {
-	started := d.deadlines.appendAscending(d.dlMerge[:0])
-	d.dlMerge = started
+// one sorted sequence (the Fixed-Stretch lazy-start input), built in the
+// disk's dlMerge scratch.
+func mergeFreshDeadlines(d *Disk) []si.Seconds {
+	scratch := d.dlMerge[:0]
 	i, fr := 0, d.fresh[d.freshHead:]
-	for _, dl := range started {
+	for _, dl := range d.deadlines.ascending() {
 		for ; i < len(fr); i++ {
 			f := fr[i]
 			if f.started || !f.needService() {
@@ -180,6 +177,7 @@ func mergeFreshDeadlines(d *Disk, scratch []si.Seconds) []si.Seconds {
 			scratch = append(scratch, f.deadline)
 		}
 	}
+	d.dlMerge = scratch
 	return scratch
 }
 

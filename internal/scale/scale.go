@@ -4,9 +4,13 @@
 // Barracuda's transfer rate) spread over at least eight disks, driving
 // each disk to many hundreds of concurrent streams — the stress case the
 // engine's data structures were rebuilt for. At this depth the deadline
-// index holds ~700 started streams per disk, so the O(n) sorted-slice
-// maintenance the seed repo shipped would dominate the event loop; the
-// 4-ary heap keeps every insert/remove at O(log n). The run stays on the
+// index holds ~700 started streams per disk and Round-Robin's lazy-start
+// rule reads all of their deadlines in ascending order on nearly every
+// dispatch, so the index keeps that sequence sorted in place — a fill
+// completion is a head advance plus a tail append, and the rule scans
+// contiguous keys — rather than in a heap, whose order would have to be
+// re-derived by a sort per dispatch (measured at 88 % of this scenario's
+// run time; EXPERIMENTS.md "Benchmark trajectory"). The run stays on the
 // deterministic VirtualClock — same seed, same trace, same Result, on
 // any machine and under any worker count — so the scenario doubles as a
 // reproducibility fixture an order of magnitude above the paper's N = 79.

@@ -98,31 +98,6 @@ func BenchmarkMinMemoryDynamic(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulationDay measures a full simulated day of the dynamic
-// scheme on one disk at moderate load — the unit of all Section 5
-// simulation experiments.
-func BenchmarkSimulationDay(b *testing.B) {
-	spec, cr, _ := vod.PaperEnvironment()
-	lib, err := vod.NewLibrary(vod.LibraryConfig{Titles: 6, Disks: 1, Spec: spec, PopularityTheta: 0.271})
-	if err != nil {
-		b.Fatal(err)
-	}
-	tr := vod.GenerateWorkload(vod.ZipfDaySchedule(350, 1, vod.Hours(9), vod.Hours(24)), lib, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := vod.Simulate(vod.SimConfig{
-			Scheme: vod.Dynamic, Method: vod.NewMethod(vod.RoundRobin),
-			Spec: spec, CR: cr, Library: lib, Trace: tr, Seed: int64(i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Served == 0 {
-			b.Fatal("nothing served")
-		}
-	}
-}
-
 // BenchmarkDaySimulation runs the full allocator x method matrix, one
 // simulated day per iteration — the end-to-end measure of the engine hot
 // path under every scheduling method the paper evaluates. The custom

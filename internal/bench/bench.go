@@ -64,6 +64,32 @@ func Cases() []Case {
 			},
 		},
 		{
+			// The measured paper-day shape: ~200 queued events, nearly all
+			// arrivals parked far in the future, under one chained
+			// near-term engine timer — each op is a push and a pop at
+			// realistic queue depth.
+			Name:  "clock/virtual-parked-200",
+			Iters: 2_000_000,
+			Bench: func(b *testing.B) {
+				e := vod.NewVirtualClock()
+				for j := 0; j < 200; j++ {
+					e.Schedule(vod.Seconds(b.N+10+(j*7919)%1000), func() {})
+				}
+				count := 0
+				var tick func(any)
+				tick = func(any) {
+					count++
+					if count < b.N {
+						e.AfterFunc(1, tick, nil)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				e.AfterFunc(1, tick, nil)
+				e.Run(vod.Seconds(b.N + 2))
+			},
+		},
+		{
 			// Cold-clock churn: a fresh clock absorbing a burst of 1000
 			// one-shot closures per op. Pays the pool's warm-up cost every
 			// iteration — the worst case for the freelist design.

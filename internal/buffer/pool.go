@@ -40,6 +40,12 @@ type Pool struct {
 	highAt     si.Seconds
 	tol        si.Seconds // underrun grace; 0 means UnderrunTolerance
 	onUnderrun func(id int, now, gap si.Seconds)
+
+	// lastID/lastPos remember the lookup must resolved most recently: the
+	// engine touches one stream several times per fill phase, and the
+	// repeats skip the map. lastPos < 0 means nothing is remembered;
+	// Attach and Detach, which change the id -> position mapping, reset it.
+	lastID, lastPos int
 }
 
 type state struct {
@@ -87,7 +93,7 @@ func NewPagedPool(budget, page si.Bits) *Pool {
 	if page < 0 {
 		panic(fmt.Sprintf("buffer: negative page size %v", page))
 	}
-	return &Pool{budget: budget, page: page, streams: make(map[int]int)}
+	return &Pool{budget: budget, page: page, streams: make(map[int]int), lastPos: -1}
 }
 
 // footprint rounds a content amount up to the pool's allocation unit.
@@ -161,6 +167,7 @@ func (p *Pool) Attach(id int, rate si.BitRate, now si.Seconds) {
 		panic(fmt.Sprintf("buffer: stream %d already attached", id))
 	}
 	p.streams[id] = len(p.order)
+	p.lastPos = -1
 	p.order = append(p.order, state{id: id, rate: rate, touched: now, emptyAt: now})
 }
 
@@ -169,6 +176,7 @@ func (p *Pool) Detach(id int, now si.Seconds) {
 	p.drain(p.must(id), now)
 	i, last := p.streams[id], len(p.order)-1
 	delete(p.streams, id)
+	p.lastPos = -1
 	if i != last {
 		p.order[i] = p.order[last]
 		p.streams[p.order[i].id] = i
@@ -353,9 +361,13 @@ func (p *Pool) Len() int { return len(p.streams) }
 // must returns id's state record. The pointer aims into order, so it is
 // valid only until the next Attach or Detach.
 func (p *Pool) must(id int) *state {
+	if id == p.lastID && p.lastPos >= 0 {
+		return &p.order[p.lastPos]
+	}
 	i, ok := p.streams[id]
 	if !ok {
 		panic(fmt.Sprintf("buffer: unknown stream %d", id))
 	}
+	p.lastID, p.lastPos = id, i
 	return &p.order[i]
 }

@@ -72,7 +72,7 @@ type Placement struct {
 
 // ContentSize reports how much of the video this placement holds: the
 // segment span for striped layouts, the full size otherwise.
-func (p Placement) ContentSize() si.Bits {
+func (p *Placement) ContentSize() si.Bits {
 	if p.Span > 0 {
 		return p.Span
 	}
@@ -86,7 +86,7 @@ func (p Placement) ContentSize() si.Bits {
 // read is guaranteed to sit inside one chunk; out-of-range reads are
 // clamped to the content (simulation positions can overshoot by float
 // dust).
-func (p Placement) DiskOffset(offset, length si.Bits) si.Bits {
+func (p *Placement) DiskOffset(offset, length si.Bits) si.Bits {
 	size := p.ContentSize()
 	if offset < 0 {
 		offset = 0
@@ -112,7 +112,7 @@ func (p Placement) DiskOffset(offset, length si.Bits) si.Bits {
 // MaxRead reports the largest single read the placement guarantees to
 // serve with one disk latency: unlimited (the content size) for
 // contiguous extents, the chunk layout's bound for chunked ones.
-func (p Placement) MaxRead() si.Bits {
+func (p *Placement) MaxRead() si.Bits {
 	if p.Chunks == nil {
 		return p.ContentSize()
 	}
@@ -122,7 +122,7 @@ func (p Placement) MaxRead() si.Bits {
 // CylinderAt maps a playback position within this placement's content to
 // the cylinder the data for that position occupies, using the disk's
 // uniform-density geometry. Out-of-range positions are clamped.
-func (p Placement) CylinderAt(spec diskmodel.Spec, pos si.Seconds) int {
+func (p *Placement) CylinderAt(spec diskmodel.Spec, pos si.Seconds) int {
 	if pos < 0 {
 		pos = 0
 	}

@@ -47,6 +47,9 @@ func (b *Book) Set(id int, a Allocation) {
 		panic(fmt.Sprintf("core: invalid allocation snapshot %+v", a))
 	}
 	if old, ok := b.allocs[id]; ok {
+		if old == a {
+			return // same contents, same mins: nothing to maintain
+		}
 		b.forget(old)
 	}
 	b.allocs[id] = a

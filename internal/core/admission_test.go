@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -130,4 +131,70 @@ func TestBookIncrementalMinsMatchBruteForce(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
+}
+
+// Set returns early when the stored snapshot equals the new one. The
+// reference is the unconditional path — Remove then Set retires the old
+// entry and folds the new one in, whatever they hold — and the two books
+// must report the same MinNK/MinK/Len at every query over random streams
+// dense in repeated snapshots. Queries are sparse so a pending rescan
+// (the last holder of a min re-set or removed) persists across operations.
+func TestBookSetSameSnapshotMatchesUnconditionalPath(t *testing.T) {
+	check := func(t *testing.T, step int, got, ref *Book) {
+		t.Helper()
+		if got.MinNK() != ref.MinNK() || got.MinK() != ref.MinK() || got.Len() != ref.Len() {
+			t.Fatalf("step %d: MinNK/MinK/Len = %d/%d/%d, unconditional path says %d/%d/%d",
+				step, got.MinNK(), got.MinK(), got.Len(), ref.MinNK(), ref.MinK(), ref.Len())
+		}
+	}
+	t.Run("sole holder of the min re-set", func(t *testing.T) {
+		got, ref := NewBook(), NewBook()
+		for _, b := range []*Book{got, ref} {
+			b.Set(1, Allocation{N: 1, K: 0}) // alone holds both mins
+			b.Set(2, Allocation{N: 5, K: 3})
+		}
+		got.Set(1, Allocation{N: 1, K: 0})
+		ref.Remove(1)
+		ref.Set(1, Allocation{N: 1, K: 0})
+		check(t, 0, got, ref)
+		if got.MinNK() != 1 || got.MinK() != 0 {
+			t.Fatalf("mins = %d/%d after re-setting the sole holder, want 1/0", got.MinNK(), got.MinK())
+		}
+		got.Set(1, Allocation{N: 9, K: 9})
+		ref.Remove(1)
+		ref.Set(1, Allocation{N: 9, K: 9})
+		check(t, 1, got, ref)
+		if got.MinNK() != 8 || got.MinK() != 3 {
+			t.Fatalf("mins = %d/%d after the sole holder grew, want 8/3", got.MinNK(), got.MinK())
+		}
+	})
+	t.Run("random streams", func(t *testing.T) {
+		for seed := int64(1); seed <= 50; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			got, ref := NewBook(), NewBook()
+			last := make(map[int]Allocation)
+			for step := 0; step < 500; step++ {
+				id := rng.Intn(6)
+				switch op := rng.Intn(10); {
+				case op < 2:
+					got.Remove(id)
+					ref.Remove(id)
+					delete(last, id)
+				default:
+					a := Allocation{N: 1 + rng.Intn(4), K: rng.Intn(3)}
+					if old, ok := last[id]; ok && op < 7 {
+						a = old // the steady state: a fill that changes nothing
+					}
+					got.Set(id, a)
+					ref.Remove(id)
+					ref.Set(id, a)
+					last[id] = a
+				}
+				if rng.Intn(3) == 0 {
+					check(t, step, got, ref)
+				}
+			}
+			check(t, 500, got, ref)
+		}
+	})
 }

@@ -23,8 +23,9 @@ func TestDiskReadTiming(t *testing.T) {
 }
 
 func TestDiskHeadAdvances(t *testing.T) {
-	d := NewDisk(Barracuda9LP(), 1)
-	per := d.Spec().BitsPerCylinder()
+	spec := Barracuda9LP()
+	d := NewDisk(spec, 1)
+	per := spec.BitsPerCylinder()
 	d.Read(100, per*5) // extent spans 5 cylinders from 100
 	if got := d.Head(); got != 105 {
 		t.Errorf("head = %d, want 105", got)

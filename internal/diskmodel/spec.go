@@ -22,6 +22,10 @@ import (
 
 // Spec describes a disk by the parameters the paper's model needs.
 // The zero value is not usable; start from Barracuda9LP or fill every field.
+//
+// The geometry methods the simulation calls on every fill — SeekTime,
+// BitsPerCylinder, CylinderOf — have pointer receivers so a call does not
+// copy the struct; the analysis-side methods keep value receivers.
 type Spec struct {
 	// Name identifies the drive in output.
 	Name string
@@ -115,7 +119,7 @@ func (s Spec) Validate() error {
 // square-root branch all the way to the break would make γ jump downward
 // there — violating the monotonicity and concavity the Sweep worst-case
 // analysis relies on. A real arm follows whichever regime is faster.
-func (s Spec) SeekTime(x int) si.Seconds {
+func (s *Spec) SeekTime(x int) si.Seconds {
 	if x <= 0 {
 		return 0
 	}
@@ -157,13 +161,13 @@ func (s Spec) MaxConcurrent(cr si.BitRate) int {
 // BitsPerCylinder reports how much data one cylinder holds under the
 // model's uniform-density assumption. Real zoned drives vary by track; the
 // uniform value is what the paper's contiguous-layout reasoning needs.
-func (s Spec) BitsPerCylinder() si.Bits {
+func (s *Spec) BitsPerCylinder() si.Bits {
 	return s.Capacity / si.Bits(s.Cylinders)
 }
 
 // CylinderOf maps a byte offset (expressed in bits) from the start of the
 // disk to its cylinder number, clamped to the disk.
-func (s Spec) CylinderOf(offset si.Bits) int {
+func (s *Spec) CylinderOf(offset si.Bits) int {
 	if offset < 0 {
 		return 0
 	}

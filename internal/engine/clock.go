@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/si"
@@ -97,7 +96,7 @@ func (t Timer) Active() bool { return t.ev != nil || t.wt != nil }
 // allocation.
 type VirtualClock struct {
 	now    si.Seconds
-	events eventHeap
+	events eventQueue
 	seq    int64
 	free   []*Event
 }
@@ -106,14 +105,11 @@ type VirtualClock struct {
 // recycled by the clock; external code holds them only inside a Timer,
 // whose generation check makes stale handles harmless.
 type Event struct {
-	at       si.Seconds
-	seq      int64
 	fn       func()
 	afn      func(arg any)
 	arg      any
 	gen      uint64
 	canceled bool
-	index    int // heap position, -1 once popped
 }
 
 // cancel marks the event canceled if gen still identifies the scheduling
@@ -152,7 +148,6 @@ func (e *VirtualClock) release(ev *Event) {
 	ev.gen++
 	ev.fn, ev.afn, ev.arg = nil, nil, nil
 	ev.canceled = false
-	ev.index = -1
 	e.free = append(e.free, ev)
 }
 
@@ -162,9 +157,8 @@ func (e *VirtualClock) push(at si.Seconds, fn func(), afn func(any), arg any) Ti
 	}
 	ev := e.alloc()
 	e.seq++
-	ev.at, ev.seq = at, e.seq
 	ev.fn, ev.afn, ev.arg = fn, afn, arg
-	heap.Push(&e.events, ev)
+	e.events.push(queuedEvent{at: at, seq: e.seq, ev: ev})
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -208,16 +202,16 @@ func (e *VirtualClock) AfterFunc(delay si.Seconds, fn func(arg any), arg any) Ti
 // Events scheduled exactly at until still run.
 func (e *VirtualClock) Run(until si.Seconds) {
 	for len(e.events) > 0 {
-		next := e.events[0]
-		if next.at > until {
+		at, next := e.events[0].at, e.events[0].ev
+		if at > until {
 			break
 		}
-		heap.Pop(&e.events)
+		e.events.pop()
 		if next.canceled {
 			e.release(next)
 			continue
 		}
-		e.now = next.at
+		e.now = at
 		// Copy the callback out and recycle the event before running it:
 		// the callback may schedule again and reuse this very slot.
 		fn, afn, arg := next.fn, next.afn, next.arg
@@ -241,32 +235,69 @@ func (e *VirtualClock) Pending() int { return len(e.events) }
 // (exposed for pooling tests).
 func (e *VirtualClock) FreeListLen() int { return len(e.free) }
 
-// eventHeap orders events by (time, sequence).
-type eventHeap []*Event
+// queuedEvent is one slot of the event queue: the ordering key held by
+// value, so sifting compares and moves slots without touching the events.
+type queuedEvent struct {
+	at  si.Seconds
+	seq int64
+	ev  *Event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a queuedEvent) before(b queuedEvent) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// eventQueue is a 4-ary min-heap of queuedEvents by (time, sequence). A
+// simulated day keeps a couple of hundred events queued, nearly all of
+// them arrivals parked far in the future, under a handful of near-term
+// engine timers; four children per node halve the levels a push or pop
+// crosses at that depth. Cancellation is lazy — a canceled event stays
+// queued until Run pops and skips it — because measured days cancel a few
+// hundred of several million events, so in-place removal would maintain a
+// position per event for nothing.
+type eventQueue []queuedEvent
+
+func (q *eventQueue) push(x queuedEvent) {
+	h := append(*q, x)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !x.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
+	h[i] = x
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+// pop removes the earliest slot; the caller has read it from q[0].
+func (q *eventQueue) pop() {
+	h := *q
+	last := len(h) - 1
+	x := h[last]
+	h[last] = queuedEvent{}
+	*q = h[:last]
+	i := 0
+	for {
+		first := 4*i + 1
+		if first >= last {
+			break
+		}
+		least := first
+		for c := first + 1; c < min(first+4, last); c++ {
+			if h[c].before(h[least]) {
+				least = c
+			}
+		}
+		if !h[least].before(x) {
+			break
+		}
+		h[i] = h[least]
+		i = least
+	}
+	if last > 0 {
+		h[i] = x
+	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -281,4 +283,183 @@ func TestWallClockSerialization(t *testing.T) {
 			t.Errorf("count = %d, want %d", count, 8*50+1)
 		}
 	})
+}
+
+// modelEvent is the reference model's view of one scheduling.
+type modelEvent struct {
+	at       si.Seconds
+	id       int
+	spawn    bool // firing schedules a child at the firing instant
+	canceled bool
+}
+
+// The typed queue must fire exactly the sequence a stable sort by
+// (time, scheduling order) yields, under interleaved scheduling,
+// cancellation (live, fired and stale handles alike), partial runs, and
+// callbacks that schedule at the current instant.
+func TestVirtualClockMatchesSortedModel(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewVirtualClock()
+		var (
+			pending   []*modelEvent // the model's queue
+			timers    []Timer       // indexed by event id
+			got, want []int
+		)
+		var schedule func(at si.Seconds, spawn bool)
+		schedule = func(at si.Seconds, spawn bool) {
+			m := &modelEvent{at: at, id: len(timers), spawn: spawn}
+			pending = append(pending, m)
+			timers = append(timers, e.ScheduleFunc(at, func(arg any) {
+				m := arg.(*modelEvent)
+				if e.Now() != m.at {
+					t.Errorf("seed %d: event %d due at %v fired at %v", seed, m.id, m.at, e.Now())
+				}
+				got = append(got, m.id)
+				if m.spawn {
+					schedule(e.Now(), false)
+				}
+			}, m))
+		}
+		// runModel fires the model up to until. Appends land in scheduling
+		// order and the sort is stable, so equal instants keep that order;
+		// children the clock's callbacks spawned during e.Run are already
+		// appended, and the model only has to replay the order.
+		runModel := func(until si.Seconds) {
+			for {
+				sort.SliceStable(pending, func(i, j int) bool { return pending[i].at < pending[j].at })
+				if len(pending) == 0 || pending[0].at > until {
+					return
+				}
+				m := pending[0]
+				pending = pending[1:]
+				if !m.canceled {
+					want = append(want, m.id)
+				}
+			}
+		}
+		for step := 0; step < 400; step++ {
+			switch op := rng.Intn(10); {
+			case op < 6:
+				schedule(e.Now()+si.Seconds(rng.Intn(12)), rng.Intn(4) == 0)
+			case op < 8 && len(timers) > 0:
+				id := rng.Intn(len(timers))
+				timers[id].Cancel()
+				// A handle whose event already left the queue is stale and
+				// must not touch whatever occupies the recycled slot now.
+				for _, m := range pending {
+					if m.id == id {
+						m.canceled = true
+					}
+				}
+			default:
+				until := e.Now() + si.Seconds(rng.Intn(6))
+				e.Run(until)
+				runModel(until)
+				if e.Now() != until {
+					t.Fatalf("seed %d: Now = %v after Run(%v)", seed, e.Now(), until)
+				}
+				if e.Pending() != len(pending) {
+					t.Fatalf("seed %d: Pending = %d, model holds %d", seed, e.Pending(), len(pending))
+				}
+			}
+		}
+		e.Run(e.Now() + 100)
+		runModel(e.Now())
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: fired %d events, model fired %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: firing %d was event %d, model says %d", seed, i, got[i], want[i])
+			}
+		}
+		if e.Pending() != 0 || e.FreeListLen() == 0 {
+			t.Fatalf("seed %d: pending=%d freelist=%d after draining", seed, e.Pending(), e.FreeListLen())
+		}
+	}
+}
+
+// Events sharing one instant drain in scheduling order, whatever else is
+// queued around them and even when the instant's own callbacks add more.
+func TestVirtualClockSameInstantFIFODrain(t *testing.T) {
+	e := NewVirtualClock()
+	var got []int
+	note := func(arg any) { got = append(got, arg.(int)) }
+	const n = 300
+	for i := 0; i < n; i++ {
+		e.ScheduleFunc(5, note, i)
+		e.ScheduleFunc(si.Seconds(6+i%7), note, -1) // later clutter
+		e.ScheduleFunc(si.Seconds(i%5), note, -1)   // earlier clutter
+	}
+	e.Schedule(5, func() {
+		for i := n; i < n+50; i++ {
+			e.ScheduleFunc(e.Now(), note, i) // joins the back of instant 5
+		}
+	})
+	e.Run(5)
+	var at5 []int
+	for _, v := range got {
+		if v >= 0 {
+			at5 = append(at5, v)
+		}
+	}
+	if len(at5) != n+50 {
+		t.Fatalf("instant 5 fired %d events, want %d", len(at5), n+50)
+	}
+	for i, v := range at5 {
+		if v != i {
+			t.Fatalf("instant 5 position %d fired event %d: not FIFO", i, v)
+		}
+	}
+}
+
+// Cancellation is lazy: the canceled event stays queued until Run reaches
+// it, is then skipped and recycled, and the stale handle stays inert once
+// the slot has a new occupant.
+func TestVirtualClockCanceledEventSkippedAndRecycled(t *testing.T) {
+	e := NewVirtualClock()
+	stale := e.Schedule(1, func() { t.Error("canceled event ran") })
+	ranB, ranC := false, false
+	e.Schedule(2, func() { ranB = true })
+	stale.Cancel()
+	if e.Pending() != 2 {
+		t.Fatalf("pending = %d, want the canceled event still queued", e.Pending())
+	}
+	e.Run(1)
+	if e.Pending() != 1 || e.FreeListLen() != 1 {
+		t.Fatalf("pending=%d freelist=%d after Run reached the canceled event, want 1 and 1", e.Pending(), e.FreeListLen())
+	}
+	e.Schedule(3, func() { ranC = true })
+	if e.FreeListLen() != 0 {
+		t.Fatal("the canceled event's slot was not reused")
+	}
+	stale.Cancel()
+	e.Run(3)
+	if !ranB || !ranC {
+		t.Errorf("ranB=%v ranC=%v: a stale Cancel reached a live event", ranB, ranC)
+	}
+}
+
+// The paper-day shape — a chained near-term timer over 200 parked
+// arrivals — schedules and fires without allocating.
+func TestVirtualClockParkedQueueAllocFree(t *testing.T) {
+	e := NewVirtualClock()
+	for j := 0; j < 200; j++ {
+		e.Schedule(si.Seconds(1e9+float64(j*7919%1000)), func() {})
+	}
+	fired := 0
+	tick := func(any) { fired++ }
+	e.AfterFunc(1, tick, nil)
+	e.Run(e.Now() + 1) // warm the freelist
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.AfterFunc(1, tick, nil)
+		e.Run(e.Now() + 1)
+	})
+	if allocs != 0 {
+		t.Errorf("schedule+fire over 200 parked events: %v allocs/op, want 0", allocs)
+	}
+	if fired != 1002 || e.Pending() != 200 {
+		t.Errorf("fired=%d pending=%d, want 1002 and the 200 parked events", fired, e.Pending())
+	}
 }

@@ -208,6 +208,12 @@ type Disk struct {
 
 	lastPeriod si.Seconds // usage period of the last allocated buffer
 
+	// worstDL is Method.WorstDL(Spec, worstDLAt), a pure function of the
+	// load: every dispatch reads it, only an admission or a departure
+	// changes its argument.
+	worstDL   si.Seconds
+	worstDLAt int
+
 	// estArrivals holds accepted arrivals for estimation-success
 	// accounting — a request rejected outright at capacity is never
 	// serviced, so it is not an "additional request" the prediction needs
@@ -872,8 +878,11 @@ func (d *Disk) worstService(n int) si.Seconds {
 	if n < 1 {
 		n = 1
 	}
+	if n != d.worstDLAt {
+		d.worstDLAt, d.worstDL = n, d.sys.cfg.Method.WorstDL(d.sys.cfg.Spec, n)
+	}
 	size := d.sys.cfg.Allocator.PlanSize(d, n)
-	return d.sys.cfg.Method.WorstDL(d.sys.cfg.Spec, n) + d.sys.cfg.Spec.TransferRate.TimeToTransfer(size)
+	return d.worstDL + d.sys.cfg.Spec.TransferRate.TimeToTransfer(size)
 }
 
 // deadlineOf reports when a stream's buffer runs dry (fresh streams are

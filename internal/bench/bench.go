@@ -14,6 +14,7 @@ import (
 	"time"
 
 	vod "repro"
+	"repro/internal/buffer"
 	"repro/internal/catalog"
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -163,6 +164,38 @@ func Cases() []Case {
 				b.ReportAllocs()
 				b.ResetTimer()
 				engine.LazyStartChurn(700, b.N, w)
+			},
+		},
+		{
+			// The pool's begin/complete pair at the scale scenario's depth
+			// on a slowly rising pool: every stream is refilled once per
+			// millisecond-spaced rotation with 0.75, 1 or 1.25 times (and a
+			// hair more) what it consumed, so one fill in three sets a
+			// high-water record and pays the walk over 700 streams while
+			// the other two are proven under the mark and skip it. (A pool
+			// refilled with exactly what it consumed ties its own mark on
+			// every sample and always walks; that is the fill-cycle probe
+			// of the repo benchmark.)
+			Name:  "buffer/fill-cycle-rising-700",
+			Iters: 500_000,
+			Bench: func(b *testing.B) {
+				const n, dt = 700, vod.Seconds(0.001)
+				rate := vod.Mbps(1.5)
+				consumed := rate.DataIn(n * dt)
+				p := buffer.NewPool(0)
+				for id := 0; id < n; id++ {
+					p.Attach(id, rate, 0)
+					p.BeginFill(id, 3*consumed, 0)
+					p.CompleteFill(id, 0)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				now := vod.Seconds(0)
+				for i := 0; i < b.N; i++ {
+					now += dt
+					p.BeginFill(i%n, consumed*vod.Bits(0.7505+0.25*float64(i%3)), now)
+					p.CompleteFill(i%n, now)
+				}
 			},
 		},
 	}

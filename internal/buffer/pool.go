@@ -16,6 +16,7 @@ package buffer
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/si"
 )
@@ -46,7 +47,21 @@ type Pool struct {
 	// repeats skip the map. lastPos < 0 means nothing is remembered;
 	// Attach and Detach, which change the id -> position mapping, reset it.
 	lastID, lastPos int
+
+	// The anchor is BeginFill's last exact walk, which bounded turns into
+	// the bound that lets later fills skip theirs: anchorU is its sum plus
+	// every fill reserved since, anchorAt its instant, anchorRate the rates
+	// of the streams then playing out of a non-empty buffer, anchorDry when
+	// the first runs dry, anchorLeft the skips still granted (0: no anchor).
+	anchorU             si.Bits
+	anchorAt, anchorDry si.Seconds
+	anchorRate          si.BitRate
+	anchorLeft          int
 }
+
+// anchorSlack is bounded's relative margin; the rounding it covers (a sum
+// over <= ~1600 streams plus at most anchorSkips additions) is under 1e-11.
+const anchorSlack, anchorSkips = 1e-9, 1 << 16
 
 type state struct {
 	id       int // stream id, for the underrun callback and swap-removal
@@ -144,6 +159,7 @@ func (p *Pool) Pin(bits si.Bits, now si.Seconds) {
 		panic(fmt.Sprintf("buffer: negative pin %v", bits))
 	}
 	p.pinned += p.footprint(bits)
+	p.anchorLeft = 0
 	p.note(p.Usage(now), now)
 }
 
@@ -176,7 +192,7 @@ func (p *Pool) Detach(id int, now si.Seconds) {
 	p.drain(p.must(id), now)
 	i, last := p.streams[id], len(p.order)-1
 	delete(p.streams, id)
-	p.lastPos = -1
+	p.lastPos, p.anchorLeft = -1, 0
 	if i != last {
 		p.order[i] = p.order[last]
 		p.streams[p.order[i].id] = i
@@ -229,7 +245,8 @@ func (p *Pool) drain(s *state, now si.Seconds) {
 // false, reserving nothing, when the reservation would take the pool's
 // usage past the budget. A stream can have at most one fill in flight.
 // The one Usage walk serves both the budget check and the high-water
-// sample.
+// sample; an exact unbudgeted pool skips both whenever bounded proves the
+// sample no record, and else walks with anchor, which returns Usage's sum.
 func (p *Pool) BeginFill(id int, size si.Bits, now si.Seconds) bool {
 	s := p.must(id)
 	if size < 0 {
@@ -239,15 +256,57 @@ func (p *Pool) BeginFill(id int, size si.Bits, now si.Seconds) bool {
 		panic(fmt.Sprintf("buffer: stream %d already has a fill in flight", id))
 	}
 	p.drain(s, now)
-	s.reserved = size
-	u := p.Usage(now)
-	if p.budget > 0 && u > p.budget {
-		s.reserved = 0
+	s.reserved, s.pending = size, true
+	if p.budget > 0 || p.page > 0 {
+		u := p.Usage(now)
+		if p.budget > 0 && u > p.budget {
+			s.reserved, s.pending = 0, false
+			return false
+		}
+		p.note(u, now)
+	} else if !p.bounded(size, now) {
+		p.note(p.anchor(now), now)
+	}
+	return true
+}
+
+// bounded charges a newly reserved fill to the anchor and reports whether
+// usage at now is provably no record, so that note would do nothing. Since
+// the anchor's walk memory grew only by the fills reserved, and each stream
+// in anchorRate drained at its rate at least until anchorDry (a refill moves
+// a zero crossing later; SetRate, Pin and Detach drop the anchor). Hence
+// Usage(now) <= anchorU - anchorRate*(min(now, anchorDry) - anchorAt) up to
+// the slack, whose anchorRate*now term covers an ulp of time per crossing.
+func (p *Pool) bounded(size si.Bits, now si.Seconds) bool {
+	if p.anchorLeft == 0 {
 		return false
 	}
-	s.pending = true
-	p.note(u, now)
-	return true
+	p.anchorLeft--
+	p.anchorU += size
+	bound := p.anchorU - p.anchorRate.DataIn(min(now, p.anchorDry)-p.anchorAt)
+	return bound+anchorSlack*(p.anchorU+p.anchorRate.DataIn(now)) < p.highWater
+}
+
+// anchor is Usage on an exact pool, same terms in the same order, that also
+// records the walk as the anchor — off the float-add chain that paces it.
+func (p *Pool) anchor(now si.Seconds) si.Bits {
+	total, rate, dry := p.pinned, si.BitRate(0), si.Seconds(math.Inf(1))
+	for i := range p.order {
+		s := &p.order[i]
+		held := s.reserved
+		if s.started && !s.starving {
+			if level := s.level - s.rate.DataIn(now-s.touched); level > 0 {
+				held += level
+				rate += s.rate
+				if s.emptyAt < dry {
+					dry = s.emptyAt
+				}
+			}
+		}
+		total += held
+	}
+	p.anchorU, p.anchorAt, p.anchorRate, p.anchorDry, p.anchorLeft = total, now, rate, dry, anchorSkips
+	return total
 }
 
 // CompleteFill lands the in-flight fill: the reserved data becomes buffer
@@ -283,6 +342,7 @@ func (p *Pool) SetRate(id int, rate si.BitRate, now si.Seconds) {
 	s := p.must(id)
 	p.drain(s, now)
 	s.rate = rate
+	p.anchorLeft = 0
 	if s.started && !s.starving {
 		s.emptyAt = now + rate.TimeToTransfer(s.level)
 	}

@@ -19,10 +19,13 @@ type Allocation struct {
 // allocation algorithm (Fig. 5) asks: min_i(n_i + k_i) for admission
 // control and min_i(k_i) for prediction capping.
 //
-// A disk serves at most N ≈ 79 requests, so linear scans are cheaper and
-// simpler than incremental min-maintenance under arbitrary removal.
+// The snapshots are stored densely — an id -> position map beside a slice
+// with swap-removal, as buffer.Pool keeps its streams — so the rescan that
+// follows the departure of a min's last holder walks contiguous memory: a
+// modern disk carries hundreds of requests, not the paper's N ≈ 79.
 type Book struct {
-	allocs map[int]Allocation
+	pos    map[int]int // request id -> position in allocs
+	allocs []bookEntry
 	// The mins are read on every scheduling decision and mutated on every
 	// allocation, so they are maintained incrementally: the cached min
 	// plus a count of entries holding it. A full rescan happens only when
@@ -32,27 +35,40 @@ type Book struct {
 	dirty       bool
 }
 
+type bookEntry struct {
+	id int
+	a  Allocation
+}
+
 // NewBook returns an empty book.
 func NewBook() *Book {
-	return &Book{
-		allocs: make(map[int]Allocation),
-		minNK:  math.MaxInt,
-		minK:   math.MaxInt,
-	}
+	return &Book{minNK: math.MaxInt, minK: math.MaxInt}
 }
+
+// bookHint sizes the first allocation of a book's storage, made when the
+// first snapshot is recorded (a static-scheme disk never records one): a
+// paper-sized disk then never regrows it.
+const bookHint = 32
 
 // Set records the allocation snapshot for the request with the given id.
 func (b *Book) Set(id int, a Allocation) {
 	if a.N < 1 || a.K < 0 {
 		panic(fmt.Sprintf("core: invalid allocation snapshot %+v", a))
 	}
-	if old, ok := b.allocs[id]; ok {
+	if i, ok := b.pos[id]; ok {
+		old := b.allocs[i].a
 		if old == a {
 			return // same contents, same mins: nothing to maintain
 		}
 		b.forget(old)
+		b.allocs[i].a = a
+	} else {
+		if b.pos == nil {
+			b.pos, b.allocs = make(map[int]int, bookHint), make([]bookEntry, 0, bookHint)
+		}
+		b.pos[id] = len(b.allocs)
+		b.allocs = append(b.allocs, bookEntry{id, a})
 	}
-	b.allocs[id] = a
 	if !b.dirty {
 		b.admitMin(a)
 	}
@@ -61,10 +77,18 @@ func (b *Book) Set(id int, a Allocation) {
 // Remove forgets a departed request. Removing an unknown id is a no-op:
 // a request that was admitted but never serviced has no snapshot.
 func (b *Book) Remove(id int) {
-	if old, ok := b.allocs[id]; ok {
-		delete(b.allocs, id)
-		b.forget(old)
+	i, ok := b.pos[id]
+	if !ok {
+		return
 	}
+	old, last := b.allocs[i].a, len(b.allocs)-1
+	delete(b.pos, id)
+	if i != last {
+		b.allocs[i] = b.allocs[last]
+		b.pos[b.allocs[i].id] = i
+	}
+	b.allocs = b.allocs[:last]
+	b.forget(old)
 }
 
 // forget retires an entry's contribution to the cached mins.
@@ -106,19 +130,8 @@ func (b *Book) Len() int { return len(b.allocs) }
 func (b *Book) refresh() {
 	b.minNK, b.minK = math.MaxInt, math.MaxInt
 	b.cntNK, b.cntK = 0, 0
-	for _, a := range b.allocs {
-		switch s := a.N + a.K; {
-		case s < b.minNK:
-			b.minNK, b.cntNK = s, 1
-		case s == b.minNK:
-			b.cntNK++
-		}
-		switch {
-		case a.K < b.minK:
-			b.minK, b.cntK = a.K, 1
-		case a.K == b.minK:
-			b.cntK++
-		}
+	for i := range b.allocs {
+		b.admitMin(b.allocs[i].a)
 	}
 	b.dirty = false
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/si"
 )
@@ -18,11 +19,26 @@ import (
 // be copied and sorted per dispatch: measured at 88 % of a depth-700
 // run.) keys[i] mirrors sts[i].dlKey, frozen at insert — dlFix re-files
 // a stream whose deadline moved — and the live region is [head, len).
+//
+// The lazy-start rule min_p(keys[p] − (p−head+1)·w) would still read all
+// of it, so the index also keeps, for the w it was last asked about, a
+// lower bound per block of dlBlock array positions: sums[b] is the least
+// keys[p] − p·w over block b's live positions. Positions are absolute, so
+// a head advance leaves every summary true and a tail append folds into
+// the last one; anything that renumbers positions or shortens the array (a
+// mid-queue memmove, a compaction) empties sums, and lazyStart rebuilds
+// them. An empty sums means none are held.
 type deadlineIndex struct {
 	keys []si.Seconds
 	sts  []*Stream
 	head int
+	sums []si.Seconds
+	sumW si.Seconds
 }
+
+// dlBlock is the summary block width; dlSlack the relative margin lazyStart
+// leaves for rounding (a few ulps of the largest term, so under 1e-15).
+const dlBlock, dlSlack = 32, 1e-9
 
 // dlBefore is the index's strict total order.
 func dlBefore(a, b *Stream) bool {
@@ -84,6 +100,9 @@ func (x *deadlineIndex) find(st *Stream) int {
 // insert files st by its (dlKey, admitSeq). st must not be indexed.
 func (x *deadlineIndex) insert(st *Stream) {
 	pos, n := x.search(st.dlKey, st.admitSeq), len(x.keys)
+	if pos < n {
+		x.sums = x.sums[:0] // a memmove renumbers positions
+	}
 	if x.head > 0 && pos-x.head < n-pos {
 		// The head side is shorter: slide it into the vacated slot.
 		copy(x.keys[x.head-1:], x.keys[x.head:pos])
@@ -98,7 +117,7 @@ func (x *deadlineIndex) insert(st *Stream) {
 			n = copy(x.keys, x.keys[x.head:])
 			copy(x.sts, x.sts[x.head:])
 			clear(x.sts[n:])
-			x.keys, x.sts, x.head = x.keys[:n], x.sts[:n], 0
+			x.keys, x.sts, x.head, x.sums = x.keys[:n], x.sts[:n], 0, x.sums[:0]
 		}
 		x.keys = append(x.keys, 0)
 		x.sts = append(x.sts, nil)
@@ -108,6 +127,13 @@ func (x *deadlineIndex) insert(st *Stream) {
 		}
 	}
 	x.keys[pos], x.sts[pos] = st.dlKey, st
+	if len(x.sums) > 0 { // a tail append: fold it into its block
+		if v, b := st.dlKey-si.Seconds(pos)*x.sumW, pos/dlBlock; b == len(x.sums) {
+			x.sums = append(x.sums, v)
+		} else if v < x.sums[b] {
+			x.sums[b] = v
+		}
+	}
 }
 
 // remove unfiles st, panicking if find cannot locate it.
@@ -115,6 +141,9 @@ func (x *deadlineIndex) remove(st *Stream) {
 	pos, last := x.find(st), len(x.keys)-1
 	if pos < 0 {
 		panic("engine: deadline index out of sync")
+	}
+	if pos > x.head {
+		x.sums = x.sums[:0]
 	}
 	if pos-x.head <= last-pos {
 		if pos > x.head { // serving the earliest moves nothing
@@ -131,8 +160,52 @@ func (x *deadlineIndex) remove(st *Stream) {
 	}
 }
 
-// check validates the structure: keys mirror dlKey and the live region
-// is strictly ascending (so no stream is filed twice).
+// lazyStart returns latestStartSorted(x.ascending(), w), the same float,
+// without reading blocks that provably cannot hold the minimum. Since
+// keys[p] − (p−head+1)·w = (keys[p] − p·w) + (head−1)·w, no candidate of
+// block b is below sums[b] + (head−1)·w; a block where that, less the
+// rounding margin, is no better than the running minimum is skipped, and
+// every other block — always the head's, where the minimum usually sits —
+// is scanned with latestStartSorted's own expression. A minimum does not
+// depend on the order its candidates are read in. Indexes under two
+// blocks take the plain scan.
+func (x *deadlineIndex) lazyStart(w si.Seconds) si.Seconds {
+	head, n := x.head, len(x.keys)
+	if n-head < 2*dlBlock {
+		return latestStartSorted(x.keys[head:], w)
+	}
+	if w != x.sumW || len(x.sums) == 0 {
+		x.sumW, x.sums = w, x.sums[:0]
+		for lo := 0; lo < n; lo += dlBlock {
+			least := si.Seconds(math.Inf(1)) // a block of the dead prefix keeps this
+			for p := max(lo, head); p < min(lo+dlBlock, n); p++ {
+				if v := x.keys[p] - si.Seconds(p)*w; v < least {
+					least = v
+				}
+			}
+			x.sums = append(x.sums, least)
+		}
+	}
+	shift := si.Seconds(head-1) * w
+	slack := dlSlack * (max(-x.keys[head], x.keys[n-1]) + si.Seconds(n)*max(w, -w))
+	best := x.keys[head] - w
+	for b := head / dlBlock; b*dlBlock < n; b++ {
+		lo := max(b*dlBlock, head)
+		if lo > head && x.sums[b]+shift-slack >= best {
+			continue
+		}
+		for p := lo; p < min((b+1)*dlBlock, n); p++ {
+			if cand := x.keys[p] - si.Seconds(p-head+1)*w; cand < best {
+				best = cand
+			}
+		}
+	}
+	return best - lazyMarginServices*w
+}
+
+// check validates the structure: keys mirror dlKey, the live region is
+// strictly ascending (so no stream is filed twice), and summaries, when
+// held, number one per block and bound every live member of theirs.
 func (x *deadlineIndex) check() error {
 	if len(x.keys) != len(x.sts) || x.head > len(x.keys) {
 		return fmt.Errorf("%d keys, %d streams, head %d", len(x.keys), len(x.sts), x.head)
@@ -145,6 +218,12 @@ func (x *deadlineIndex) check() error {
 		if i > x.head && !dlBefore(x.sts[i-1], st) {
 			return fmt.Errorf("order violated at position %d", i)
 		}
+		if len(x.sums) > 0 && x.sums[i/dlBlock] > x.keys[i]-si.Seconds(i)*x.sumW {
+			return fmt.Errorf("block summary %v above its member at position %d", x.sums[i/dlBlock], i)
+		}
+	}
+	if blocks := (len(x.keys) + dlBlock - 1) / dlBlock; len(x.sums) > 0 && len(x.sums) != blocks {
+		return fmt.Errorf("%d block summaries for %d blocks", len(x.sums), blocks)
 	}
 	return nil
 }
@@ -164,8 +243,9 @@ func DeadlineIndexChurn(n, rounds int) int64 {
 
 // LazyStartChurn is DeadlineIndexChurn plus, for w > 0, what a
 // Round-Robin dispatch pays on top of the pair: after each re-file the
-// lazy-start rule is evaluated over all n ascending deadlines at worst
-// service time w. The sum of the computed starts is a second checksum.
+// lazy-start rule is evaluated over the n indexed deadlines at worst
+// service time w, the way rrScheduler.Next does. The sum of the computed
+// starts is a second checksum.
 func LazyStartChurn(n, rounds int, w si.Seconds) (checksum int64, starts si.Seconds) {
 	if n <= 0 {
 		return -1, 0
@@ -185,7 +265,7 @@ func LazyStartChurn(n, rounds int, w si.Seconds) (checksum int64, starts si.Seco
 		st.dlKey, st.admitSeq = deadline, seq
 		idx.insert(st)
 		if w > 0 {
-			starts += latestStartSorted(idx.ascending(), w)
+			starts += idx.lazyStart(w)
 		}
 	}
 	return idx.min().admitSeq, starts

@@ -194,13 +194,18 @@ func TestDeadlineHeapAppendAscending(t *testing.T) {
 // Position is found by search, so remove must refuse a stream the search
 // cannot land on: one never filed, and one whose key moved while it was
 // indexed — even when the stale key still sorts between its neighbours.
+// The refusals are the same on an index deep enough to hold block
+// summaries, after a query that built them.
 func TestDeadlineHeapRemoveOutOfSyncPanics(t *testing.T) {
-	build := func() (*deadlineIndex, []*Stream) {
+	build := func(depth int) (*deadlineIndex, []*Stream) {
 		x := &deadlineIndex{}
-		sts := make([]*Stream, 5)
+		sts := make([]*Stream, depth)
 		for i := range sts {
 			sts[i] = &Stream{id: i, admitSeq: int64(i), dlKey: si.Seconds(10 * i)}
 			x.insert(sts[i])
+		}
+		if x.lazyStart(0.5); (len(x.sums) > 0) != (depth >= 2*dlBlock) {
+			t.Fatalf("depth %d: %d summaries held", depth, len(x.sums))
 		}
 		return x, sts
 	}
@@ -209,7 +214,7 @@ func TestDeadlineHeapRemoveOutOfSyncPanics(t *testing.T) {
 			return &Stream{id: 99, admitSeq: 2, dlKey: 20}
 		},
 		"unfiled past the tail": func(*deadlineIndex, []*Stream) *Stream {
-			return &Stream{id: 99, admitSeq: 99, dlKey: 1000}
+			return &Stream{id: 99, admitSeq: 99, dlKey: 5000}
 		},
 		"removed twice": func(x *deadlineIndex, sts []*Stream) *Stream {
 			x.remove(sts[2])
@@ -226,15 +231,19 @@ func TestDeadlineHeapRemoveOutOfSyncPanics(t *testing.T) {
 	}
 	for name, pick := range cases {
 		t.Run(name, func(t *testing.T) {
-			x, sts := build()
-			st := pick(x, sts)
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "out of sync") {
-					t.Errorf("remove recovered %q, want an out-of-sync panic", msg)
-				}
-			}()
-			x.remove(st)
+			for _, depth := range []int{5, 200} {
+				x, sts := build(depth)
+				st := pick(x, sts)
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, "out of sync") {
+							t.Errorf("depth %d: remove recovered %q, want an out-of-sync panic", depth, msg)
+						}
+					}()
+					x.remove(st)
+				}()
+			}
 		})
 	}
 }
@@ -309,5 +318,167 @@ func TestLatestStartSortedMatchesBruteForce(t *testing.T) {
 		if got := latestStartSorted(x.ascending(), w); got != want {
 			t.Fatalf("trial %d (n=%d, w=%v): latestStartSorted = %v, brute force %v", trial, n, w, got, want)
 		}
+	}
+}
+
+// lazyStart must return latestStartSorted's float over the same view, bit
+// for bit, whatever the index went through since it last summarized:
+// fill-completion pairs (head advance, tail append), mid-queue inserts and
+// removes on either side, compactions, a changing w, queues that shrink
+// under two blocks and grow back. The spacings are the adversarial ones
+// for a pruning rule — deadlines exactly w apart, so that every candidate
+// ties; w plus or minus an ulp, so that they differ in the last bit; long
+// flat clusters, where the minimum sits deep in the tail; all of it near
+// 1e5 s, where an ulp of a deadline is a visible fraction of w — and the
+// structure's invariants, summaries included, are checked after every
+// operation. The trace must have kept summaries across the hot pair and
+// dropped them on a memmove.
+func TestLazyStartMatchesPlainScan(t *testing.T) {
+	const w0 = si.Seconds(0.0077)
+	gaps := []func(rng *rand.Rand) si.Seconds{
+		func(*rand.Rand) si.Seconds { return w0 },
+		func(*rand.Rand) si.Seconds { return si.Seconds(math.Nextafter(float64(w0), 1)) },
+		func(*rand.Rand) si.Seconds { return si.Seconds(math.Nextafter(float64(w0), 0)) },
+		func(rng *rand.Rand) si.Seconds { return si.Seconds(rng.Intn(40)/39) * 0.9 }, // flat runs, rare jumps
+		func(rng *rand.Rand) si.Seconds { return w0 * si.Seconds(rng.Float64()*2) },
+	}
+	var kept, dropped, rebuilt, plain int
+	for seed, gap := range gaps {
+		for _, base := range []si.Seconds{0, 99_990} {
+			rng := rand.New(rand.NewSource(int64(seed) + 1))
+			var x deadlineIndex
+			var ref refIndex
+			var seq int64
+			last := base
+			file := func(st *Stream, key si.Seconds) {
+				seq++
+				st.dlKey, st.admitSeq = key, seq
+				x.insert(st)
+				ref = append(ref, st)
+				ref.sorted()
+			}
+			w := w0
+			for op := 0; op < 6000; op++ {
+				held := len(x.sums) > 0
+				switch k := rng.Intn(40); {
+				case len(ref) < 20 || (k < 2 && len(ref) < 400):
+					for i := 0; i < 1+rng.Intn(150); i++ { // a burst at the tail
+						last += gap(rng)
+						file(&Stream{id: int(seq)}, last)
+					}
+				case k < 30: // the fill-completion pair
+					st := x.min()
+					x.remove(st)
+					ref.drop(0)
+					last += gap(rng)
+					file(st, last)
+					if held && len(x.sums) > 0 {
+						kept++
+					}
+				case k < 33: // a stream re-filed anywhere
+					st := ref.drop(rng.Intn(len(ref)))
+					x.remove(st)
+					file(st, ref[0].dlKey+si.Seconds(rng.Float64())*(last-ref[0].dlKey))
+					if held && len(x.sums) == 0 {
+						dropped++
+					}
+				case k < 36:
+					x.remove(ref.drop(rng.Intn(len(ref))))
+				case k < 37:
+					for len(ref) > 30 && rng.Intn(8) > 0 { // a drain below two blocks
+						x.remove(ref.drop(rng.Intn(len(ref))))
+					}
+				case k < 38:
+					w = w0 * si.Seconds(0.5+rng.Float64())
+				default:
+					w = w0
+				}
+				if len(ref) == 0 {
+					continue
+				}
+				held = len(x.sums) > 0 && w == x.sumW
+				got, want := x.lazyStart(w), latestStartSorted(x.ascending(), w)
+				if got != want {
+					t.Fatalf("gap %d base %v op %d (n=%d, w=%v): lazyStart %v, plain scan %v (apart by %g)",
+						seed, base, op, len(ref), w, got, want, float64(got-want))
+				}
+				switch {
+				case len(ref) < 2*dlBlock:
+					plain++
+				case !held:
+					rebuilt++
+				}
+				if err := x.check(); err != nil {
+					t.Fatalf("gap %d base %v op %d: %v", seed, base, op, err)
+				}
+			}
+		}
+	}
+	if kept == 0 || dropped == 0 || rebuilt == 0 || plain == 0 {
+		t.Errorf("trace missed a path: summaries kept across %d pairs, dropped by %d re-files, rebuilt %d times, %d plain scans",
+			kept, dropped, rebuilt, plain)
+	}
+}
+
+// With summaries held the rule must actually skip blocks: on 700 evenly
+// spaced deadlines a query costs a fraction of the plain scan. Timing-free:
+// poison every key outside the head's block after summarizing — a scan
+// that read them would return the poison.
+func TestLazyStartSkipsBlocksItCanRuleOut(t *testing.T) {
+	var x deadlineIndex
+	const w = si.Seconds(0.01)
+	for i := 0; i < 700; i++ {
+		x.insert(&Stream{id: i, admitSeq: int64(i), dlKey: 100 + si.Seconds(i)*2*w})
+	}
+	want := latestStartSorted(x.ascending(), w)
+	if got := x.lazyStart(w); got != want {
+		t.Fatalf("lazyStart %v, plain scan %v", got, want)
+	}
+	for p := dlBlock; p < len(x.keys); p++ {
+		x.keys[p] = -1e9
+	}
+	if got := x.lazyStart(w); got != want {
+		t.Errorf("lazyStart read a block its summary rules out: %v, want %v", got, want)
+	}
+}
+
+// The dispatch path at depth 700 — the pair, then the rule through the
+// index — must not allocate, whether the summaries survive the pair or a
+// changing w rebuilds them on every call.
+func TestLazyStartSteadyStateAllocFree(t *testing.T) {
+	const n = 700
+	var x deadlineIndex
+	dl := si.Seconds(0)
+	for i := 0; i < n; i++ {
+		dl += si.Seconds(i%5) / 8
+		x.insert(&Stream{id: i, admitSeq: int64(i), dlKey: dl})
+	}
+	seq := int64(n)
+	var sum si.Seconds
+	for _, tc := range []struct {
+		name string
+		w    func(i int64) si.Seconds
+	}{
+		{"summaries kept", func(int64) si.Seconds { return 0.01 }},
+		{"rebuilt on every call", func(i int64) si.Seconds { return 0.01 + si.Seconds(i%2)/1000 }},
+	} {
+		cycle := func() {
+			st := x.min()
+			x.remove(st)
+			dl += 0.125
+			seq++
+			st.dlKey, st.admitSeq = dl, seq
+			x.insert(st)
+			sum += x.lazyStart(tc.w(seq))
+		}
+		for i := 0; i < 4*n; i++ {
+			cycle() // let the arrays reach their steady capacity
+		}
+		if allocs := testing.AllocsPerRun(4*n, cycle); allocs != 0 {
+			t.Errorf("%s: remove+insert+lazyStart allocates %.1f objects/op, want 0", tc.name, allocs)
+		}
+	}
+	if err := x.check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -58,8 +58,9 @@ func (a *admitAuditor) OnReject(disk int, req workload.Request, reason RejectRea
 // AdmitCap, the committed consumption bandwidth stays strictly below
 // the bandwidth cap (knee-halved when the knee scheme is on), a
 // rejection only happens when no ladder rung fits, Disk.invariants holds
-// after every event, and once every viewer departs the committed
-// bandwidth returns exactly to zero.
+// after every event, the pool's high-water mark equals the maximum of
+// Usage shadowed at every fill, and once every viewer departs the
+// committed bandwidth returns exactly to zero.
 func FuzzLadderAdmit(f *testing.F) {
 	f.Add(uint8(2), false, false, []byte{10, 40, 81, 80, 202, 120})
 	f.Add(uint8(3), true, true, []byte{5, 200, 99, 10, 3, 255, 77, 31, 150, 64})
@@ -127,6 +128,8 @@ func FuzzLadderAdmit(f *testing.F) {
 		}
 		sys.AttachObserver(&admitAuditor{t: t, sys: sys, lib: lib, bwCap: bwCap})
 		auditInvariants(t, vc, sys)
+		shadow := &highWaterShadow{sys: sys}
+		sys.AttachObserver(shadow)
 		d := sys.Disk(0)
 
 		var now si.Seconds
@@ -162,6 +165,9 @@ func FuzzLadderAdmit(f *testing.F) {
 		}
 		if r := d.CommittedRate(); r != 0 {
 			t.Fatalf("all viewers departed but %v committed bandwidth remains booked", r)
+		}
+		if shadow.high > 0 { // an input with no arrival fills nothing
+			shadow.agree(t)
 		}
 	})
 }

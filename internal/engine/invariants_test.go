@@ -53,6 +53,30 @@ func auditInvariants(t *testing.T, clock *auditClock, sys *System) *int {
 	return audits
 }
 
+// highWaterShadow re-derives a disk pool's high-water mark from outside:
+// OnFill fires at the instant of the pool's own sample with nothing moved
+// in between, so the running maximum of Usage there is the mark the pool
+// must report — bit for bit, however many of its walks it skipped.
+type highWaterShadow struct {
+	NopObserver
+	sys  *System
+	high si.Bits
+}
+
+func (h *highWaterShadow) OnFill(disk int, _ *Stream, now, _ si.Seconds, _ si.Bits, _ si.Seconds) {
+	if u := h.sys.Disk(disk).Pool().Usage(now); u > h.high {
+		h.high = u
+	}
+}
+
+// agree fails the test unless disk 0's pool reports the shadowed mark.
+func (h *highWaterShadow) agree(t *testing.T) {
+	t.Helper()
+	if got := h.sys.Disk(0).Pool().Stats().HighWater; got != h.high || got == 0 {
+		t.Errorf("pool high water %v, maximum of Usage over every fill %v (must be equal and nonzero)", got, h.high)
+	}
+}
+
 // switchCounter counts mid-stream rate switches.
 type switchCounter struct {
 	NopObserver
@@ -66,7 +90,9 @@ func (c *switchCounter) OnRateSwitch(int, *Stream, si.BitRate, si.BitRate, si.Se
 // refill rotation, cancellation, extension and departure — and, on a
 // bitrate ladder, through downgrades and mid-stream switches that re-plan
 // a stream's demand and deadline — with the deadline index holding
-// exactly the started streams still fetching.
+// exactly the started streams still fetching, its block summaries (when
+// held) bounding their members, and the pool's high-water mark equal to
+// the one shadowed from outside at every fill.
 func TestInvariantsHoldAfterEveryEvent(t *testing.T) {
 	spec := diskmodel.Barracuda9LP()
 	ladder := []si.BitRate{si.Mbps(1.5), si.Mbps(1.0), si.Mbps(0.5)}
@@ -113,6 +139,8 @@ func TestInvariantsHoldAfterEveryEvent(t *testing.T) {
 				t.Fatal(err)
 			}
 			audits := auditInvariants(t, clock, sys)
+			shadow := &highWaterShadow{sys: sys}
+			sys.AttachObserver(shadow)
 			d := sys.Disk(0)
 			rng := rand.New(rand.NewSource(int64(seed) + 1))
 			var now si.Seconds
@@ -156,6 +184,7 @@ func TestInvariantsHoldAfterEveryEvent(t *testing.T) {
 			if d.InService() != 0 || d.deadlines.size() != 0 {
 				t.Errorf("after the drain: %d in service, %d indexed", d.InService(), d.deadlines.size())
 			}
+			shadow.agree(t)
 			if peak < 20 || *audits < 1000 {
 				t.Errorf("trace too shallow to mean anything: peak depth %d, %d audits", peak, *audits)
 			}

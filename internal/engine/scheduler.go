@@ -125,16 +125,17 @@ func (p *rrScheduler) Next(now si.Seconds) (*Stream, si.Seconds) {
 	}
 	// Idle long enough that laziness matters: wake at the latest start
 	// that still lets every due buffer be refilled in deadline order.
-	// The deadline index holds the ascending deadline sequence, scanned
-	// in place; only the Fixed-Stretch ablation, whose waiting newcomers
+	// The deadline index evaluates the rule over its ascending deadline
+	// sequence; only the Fixed-Stretch ablation, whose waiting newcomers
 	// count as due-at-admission, needs their (also ascending) deadlines
-	// merged in (a gated BubbleUp newcomer does not: it waits for slack,
-	// it is not due).
-	deadlines := p.d.deadlines.ascending()
+	// merged in and scanned plainly (a gated BubbleUp newcomer does not:
+	// it waits for slack, it is not due).
+	var start si.Seconds
 	if fresh != nil && !p.bubbleUp {
-		deadlines = mergeFreshDeadlines(p.d)
+		start = latestStartSorted(mergeFreshDeadlines(p.d), w)
+	} else {
+		start = p.d.deadlines.lazyStart(w)
 	}
-	start := latestStartSorted(deadlines, w)
 	if fresh != nil && dlAware && start >= now {
 		// The backlog affords the inserted service: pushed back by one
 		// worst service it still makes every deadline with a service-time

@@ -54,23 +54,25 @@ bench:
 # baseline (see EXPERIMENTS.md "Benchmark trajectory"). Race-free: the
 # gate measures allocations, which -race instrumentation would distort.
 bench-smoke:
-	$(GO) run ./cmd/bench -baseline BENCH_PR14.json -check -out /dev/null
+	$(GO) run ./cmd/bench -baseline BENCH_PR15.json -check -out /dev/null
 
 # Regenerate the committed baseline after an intentional perf change.
 bench-snapshot:
-	$(GO) run ./cmd/bench -out BENCH_PR14.json
+	$(GO) run ./cmd/bench -out BENCH_PR15.json
 
 # The repo benchmark (benchmark/, see BENCHMARK.json) is its own module,
 # so `go build ./... && go test ./...` at the root never compiles it; this
 # keeps a signature change in the packages it measures from breaking it
-# unnoticed. The two short untraced runs then apply the benchmark's own
-# correctness check — a workload's digest must repeat from iteration to
-# iteration — to the depth-700 run and the paper day, so a change that
-# makes a simulation irreproducible fails here, before any paired
-# measurement.
+# unnoticed. The short untraced runs then apply the benchmark's own
+# correctness checks: a workload's digest must repeat from iteration to
+# iteration (the depth-700 run and the paper day), and at seed 1 one
+# figure-grid pass must render all five reports that have a committed
+# golden byte for byte (~6 s whatever --seconds says: a pass is not cut
+# short). A change that makes a simulation irreproducible, or moves a
+# figure, fails here, before any paired measurement.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
-	@for w in scale-peak paper-day; do \
+	@for w in scale-peak paper-day figure-grid; do \
 		echo "benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0"; \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | grep '"correct":true' \
 			|| { echo "bench-harness: $$w did not report \"correct\":true"; exit 1; }; \

@@ -68,7 +68,8 @@ func Cases() []Case {
 			// The measured paper-day shape: ~200 queued events, nearly all
 			// arrivals parked far in the future, under one chained
 			// near-term engine timer — each op is a push and a pop at
-			// realistic queue depth.
+			// realistic queue depth. The chain's one-second delay is
+			// inside the clock's near window, so it bypasses the heap.
 			Name:  "clock/virtual-parked-200",
 			Iters: 2_000_000,
 			Bench: func(b *testing.B) {
@@ -88,6 +89,40 @@ func Cases() []Case {
 				b.ResetTimer()
 				e.AfterFunc(1, tick, nil)
 				e.Run(vod.Seconds(b.N + 2))
+			},
+		},
+		{
+			// The Fig. 14 shape: 3,000 parked slots under ten interleaved
+			// live chains whose delays are milliseconds — a fill
+			// completion or lazy-start wake per disk. Each op is one
+			// schedule and one fire; the live events stay in the clock's
+			// near run and never sift through the parked heap.
+			Name:  "clock/virtual-parked-3000",
+			Iters: 2_000_000,
+			Bench: func(b *testing.B) {
+				e := vod.NewVirtualClock()
+				horizon := vod.Seconds(b.N) // 10 chains x >= 2 ms: the run ends well inside it
+				for j := 0; j < 3000; j++ {
+					e.Schedule(horizon+vod.Seconds(10+(j*7919)%3000), func() {})
+				}
+				count := 0
+				var tick func(any)
+				tick = func(arg any) {
+					count++
+					if count < b.N {
+						e.AfterFunc(vod.Seconds(0.002+0.001*float64(arg.(int))), tick, arg)
+					}
+				}
+				chains := make([]any, 10) // boxed once, outside the timed region
+				for i := range chains {
+					chains[i] = i
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for _, c := range chains {
+					e.AfterFunc(0, tick, c)
+				}
+				e.Run(horizon)
 			},
 		},
 		{

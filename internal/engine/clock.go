@@ -95,10 +95,11 @@ func (t Timer) Active() bool { return t.ev != nil || t.wt != nil }
 // workload (every callback scheduling a successor) runs without heap
 // allocation.
 type VirtualClock struct {
-	now    si.Seconds
-	events eventQueue
-	seq    int64
-	free   []*Event
+	now  si.Seconds
+	near nearRun    // live events: due within nearWindow when scheduled
+	far  eventQueue // parked events, and near's overflow
+	seq  int64
+	free []*Event
 }
 
 // Event is a callback scheduled on a VirtualClock. Events are owned and
@@ -158,7 +159,12 @@ func (e *VirtualClock) push(at si.Seconds, fn func(), afn func(any), arg any) Ti
 	ev := e.alloc()
 	e.seq++
 	ev.fn, ev.afn, ev.arg = fn, afn, arg
-	e.events.push(queuedEvent{at: at, seq: e.seq, ev: ev})
+	x := queuedEvent{at: at, seq: e.seq, ev: ev}
+	if at-e.now <= nearWindow && e.near.n < nearCap {
+		e.near.insert(x) // a cost hint only, see nearRun
+	} else {
+		e.far.push(x)
+	}
 	return Timer{ev: ev, gen: ev.gen}
 }
 
@@ -201,12 +207,22 @@ func (e *VirtualClock) AfterFunc(delay si.Seconds, fn func(arg any), arg any) Ti
 // Run processes events until the queue empties or the clock passes until.
 // Events scheduled exactly at until still run.
 func (e *VirtualClock) Run(until si.Seconds) {
-	for len(e.events) > 0 {
-		at, next := e.events[0].at, e.events[0].ev
+	for e.near.n+len(e.far) > 0 {
+		// The queue's head is the earlier of the two parts' heads.
+		head := &e.near.slots[e.near.head]
+		fromNear := e.near.n > 0 && (len(e.far) == 0 || head.before(e.far[0]))
+		if !fromNear {
+			head = &e.far[0]
+		}
+		at, next := head.at, head.ev
 		if at > until {
 			break
 		}
-		e.events.pop()
+		if fromNear {
+			e.near.pop()
+		} else {
+			e.far.pop()
+		}
 		if next.canceled {
 			e.release(next)
 			continue
@@ -229,7 +245,7 @@ func (e *VirtualClock) Run(until si.Seconds) {
 
 // Pending reports the number of events still queued (including canceled
 // ones not yet drained).
-func (e *VirtualClock) Pending() int { return len(e.events) }
+func (e *VirtualClock) Pending() int { return e.near.n + len(e.far) }
 
 // FreeListLen reports the number of recycled events available for reuse
 // (exposed for pooling tests).
@@ -247,14 +263,42 @@ func (a queuedEvent) before(b queuedEvent) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// eventQueue is a 4-ary min-heap of queuedEvents by (time, sequence). A
-// simulated day keeps a couple of hundred events queued, nearly all of
-// them arrivals parked far in the future, under a handful of near-term
-// engine timers; four children per node halve the levels a push or pop
-// crosses at that depth. Cancellation is lazy — a canceled event stays
-// queued until Run pops and skips it — because measured days cancel a few
-// hundred of several million events, so in-place removal would maintain a
-// position per event for nothing.
+// nearRun holds the live part of the pending set. Drivers schedule every
+// arrival up front and each stream in service parks a departure timer, so
+// thousands of slots (Fig. 14: 2,650 on average; depth 700: ~12 k) sit
+// minutes ahead of about one live event per disk, milliseconds ahead; in
+// one heap every completion climbs to the root and every pop sifts a
+// parked slot back down. Events due within nearWindow go to this short
+// ascending ring instead, the rest — overflow included — to the heap.
+// Routing is a cost hint, never an ordering decision: Run fires the
+// earlier of the two heads by (at, seq). So neither constant is a knob.
+type nearRun struct {
+	slots   [nearCap]queuedEvent
+	head, n int
+}
+
+const nearWindow, nearCap = si.Seconds(5), 64
+const nearMask = nearCap - 1 // the ring is indexed by mask: nearCap is a power of two
+
+// insert walks x in from the back, behind every slot due at or before its
+// instant: a new slot has the highest seq, so that is its (at, seq) place.
+func (r *nearRun) insert(x queuedEvent) {
+	i := r.head + r.n // ring positions are taken modulo nearCap
+	for ; i > r.head && r.slots[(i-1)&nearMask].at > x.at; i-- {
+		r.slots[i&nearMask] = r.slots[(i-1)&nearMask]
+	}
+	r.slots[i&nearMask] = x
+	r.n++
+}
+
+func (r *nearRun) pop() { r.head, r.n = (r.head+1)&nearMask, r.n-1 }
+
+// eventQueue is a 4-ary min-heap of queuedEvents by (time, sequence): a
+// push or pop crosses log4 rather than log2 levels (six, not twelve, at
+// 3,000 slots) for three more compares per level of a pop. Cancellation is
+// lazy — a canceled event stays queued until Run pops and skips it —
+// because measured days cancel a few hundred of several million events, so
+// in-place removal would maintain a position per event for nothing.
 type eventQueue []queuedEvent
 
 func (q *eventQueue) push(x queuedEvent) {

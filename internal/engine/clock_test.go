@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
@@ -461,5 +462,257 @@ func TestVirtualClockParkedQueueAllocFree(t *testing.T) {
 	}
 	if fired != 1002 || e.Pending() != 200 {
 		t.Errorf("fired=%d pending=%d, want 1002 and the 200 parked events", fired, e.Pending())
+	}
+}
+
+// partsModel drives a VirtualClock and the sorted reference model side by
+// side and, white-box, checks the two-part queue after every step: the
+// near run ascending by (time, scheduling order) and within its cap, and
+// Pending equal to the model's count (canceled slots included).
+type partsModel struct {
+	t         *testing.T
+	e         *VirtualClock
+	pending   []*modelEvent
+	timers    []Timer
+	got, want []int
+	chain     func(m *modelEvent) (si.Seconds, bool) // delay of a fired event's successor, if any
+
+	maxNear, maxFar int
+	overflow        int // schedulings inside the window that found near full
+	splitTies       int // checks that saw one instant queued in both parts
+}
+
+func (p *partsModel) schedule(at si.Seconds) *modelEvent {
+	m := &modelEvent{at: at, id: len(p.timers)}
+	p.pending = append(p.pending, m)
+	if at-p.e.Now() <= nearWindow && p.e.near.n == nearCap {
+		p.overflow++
+	}
+	p.timers = append(p.timers, p.e.ScheduleFunc(at, func(arg any) {
+		m := arg.(*modelEvent)
+		if p.e.Now() != m.at {
+			p.t.Errorf("event %d due at %v fired at %v", m.id, m.at, p.e.Now())
+		}
+		p.got = append(p.got, m.id)
+		if p.chain != nil {
+			if delay, ok := p.chain(m); ok {
+				p.schedule(p.e.Now() + delay)
+			}
+		}
+	}, m))
+	return m
+}
+
+func (p *partsModel) cancel(id int) {
+	p.timers[id].Cancel()
+	for _, m := range p.pending {
+		if m.id == id {
+			m.canceled = true
+		}
+	}
+}
+
+// run advances clock and model to until and compares them.
+func (p *partsModel) run(until si.Seconds) {
+	p.t.Helper()
+	p.e.Run(until)
+	for {
+		sort.SliceStable(p.pending, func(i, j int) bool { return p.pending[i].at < p.pending[j].at })
+		if len(p.pending) == 0 || p.pending[0].at > until {
+			break
+		}
+		if m := p.pending[0]; !m.canceled {
+			p.want = append(p.want, m.id)
+		}
+		p.pending = p.pending[1:]
+	}
+	if p.e.Now() != until {
+		p.t.Fatalf("Now = %v after Run(%v)", p.e.Now(), until)
+	}
+	p.check()
+	if len(p.got) != len(p.want) {
+		p.t.Fatalf("fired %d events by %v, model fired %d", len(p.got), until, len(p.want))
+	}
+	for i := range p.want {
+		if p.got[i] != p.want[i] {
+			p.t.Fatalf("firing %d was event %d, model says %d", i, p.got[i], p.want[i])
+		}
+	}
+}
+
+func (p *partsModel) check() {
+	p.t.Helper()
+	e := p.e
+	if e.Pending() != len(p.pending) {
+		p.t.Fatalf("Pending = %d, model holds %d", e.Pending(), len(p.pending))
+	}
+	if e.near.n < 0 || e.near.n > nearCap {
+		p.t.Fatalf("near holds %d slots, cap %d", e.near.n, nearCap)
+	}
+	inNear := map[si.Seconds]bool{}
+	for i := 0; i < e.near.n; i++ {
+		s := e.near.slots[(e.near.head+i)&nearMask]
+		inNear[s.at] = true
+		if i > 0 && !e.near.slots[(e.near.head+i-1)&nearMask].before(s) {
+			p.t.Fatalf("near run out of order at position %d", i)
+		}
+	}
+	for _, s := range e.far {
+		if inNear[s.at] {
+			p.splitTies++
+			break
+		}
+	}
+	p.maxNear, p.maxFar = max(p.maxNear, e.near.n), max(p.maxFar, len(e.far))
+}
+
+// The two-part queue must fire what the single sorted model fires on
+// traces built to straddle the parts: parked bursts under live chains,
+// more live events than the near run holds, same-instant ties split across
+// the parts, scheduling at the current instant and in descending order,
+// cancellation of slots in either part and through stale handles, and
+// partial runs that stop on an instant queued in both parts.
+func TestVirtualClockTwoPartsMatchSortedModel(t *testing.T) {
+	for seed := int64(1); seed <= 25; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { twoPartsTrace(t, seed) })
+	}
+}
+
+func twoPartsTrace(t *testing.T, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	p := &partsModel{t: t, e: NewVirtualClock()}
+	// One firing in three schedules a successor: at the same instant,
+	// milliseconds ahead (a live chain), or past the window.
+	p.chain = func(m *modelEvent) (si.Seconds, bool) {
+		switch rng.Intn(9) {
+		case 0:
+			return 0, true
+		case 1:
+			return si.Seconds(0.001 + 0.02*rng.Float64()), true
+		case 2:
+			return nearWindow + si.Seconds(rng.Intn(30)), true
+		}
+		return 0, false
+	}
+	for step := 0; step < 300; step++ {
+		now := p.e.Now()
+		switch op := rng.Intn(12); {
+		case op < 3: // a live event
+			p.schedule(now + si.Seconds(rng.Float64()))
+		case op < 5: // a parked burst, minutes ahead
+			for i := rng.Intn(40); i >= 0; i-- {
+				p.schedule(now + si.Seconds(60+rng.Intn(600)))
+			}
+		case op == 5: // more live events than near holds, many tied
+			for i := 0; i < nearCap+rng.Intn(nearCap); i++ {
+				p.schedule(now + si.Seconds(1+rng.Intn(3)))
+			}
+		case op == 6: // descending schedules, each walking the whole run
+			for i := 20; i > 0; i-- {
+				p.schedule(now + si.Seconds(i)/8)
+			}
+		case op == 7: // at the current instant
+			p.schedule(now)
+		case op < 10 && len(p.timers) > 0: // live, fired and stale handles alike
+			p.cancel(rng.Intn(len(p.timers)))
+		default:
+			until := now + si.Seconds(rng.Intn(4))
+			if len(p.pending) > 0 && rng.Intn(2) == 0 {
+				until = p.pending[rng.Intn(len(p.pending))].at // stop on a queued instant
+			}
+			p.run(max(until, now))
+		}
+		p.check()
+	}
+	p.run(p.e.Now() + 1000)
+	if p.e.Pending() != 0 {
+		t.Fatalf("%d events pending after the drain", p.e.Pending())
+	}
+	if p.maxNear != nearCap || p.overflow == 0 || p.maxFar < 100 || p.splitTies == 0 {
+		t.Errorf("trace did not straddle the parts: near peaked at %d, %d overflows, far peaked at %d, %d split ties",
+			p.maxNear, p.overflow, p.maxFar, p.splitTies)
+	}
+}
+
+// A partial run stops exactly on its boundary whichever part holds the
+// boundary's events: those due at until fire, in scheduling order across
+// the parts; the next instant's stay queued in both.
+func TestVirtualClockRunBoundaryInEachPart(t *testing.T) {
+	p := &partsModel{t: t, e: NewVirtualClock()}
+	farAt, farNext := p.schedule(10), p.schedule(10.5) // beyond the window: the heap
+	p.run(8)
+	nearAt, nearNext := p.schedule(10), p.schedule(10.5) // inside it now: the run
+	if p.e.near.n != 2 || len(p.e.far) != 2 {
+		t.Fatalf("near holds %d, far %d; want the boundary instant in both", p.e.near.n, len(p.e.far))
+	}
+	p.run(10)
+	if len(p.got) != 2 || p.got[0] != farAt.id || p.got[1] != nearAt.id {
+		t.Fatalf("Run(10) fired %v, want [%d %d]", p.got, farAt.id, nearAt.id)
+	}
+	if p.e.near.n != 1 || len(p.e.far) != 1 {
+		t.Fatalf("near holds %d, far %d after the boundary; want one each", p.e.near.n, len(p.e.far))
+	}
+	p.cancel(nearAt.id) // stale: fired already
+	p.cancel(farNext.id)
+	p.run(11)
+	if len(p.got) != 3 || p.got[2] != nearNext.id {
+		t.Fatalf("fired %v, want the canceled heap slot skipped and %d last", p.got, nearNext.id)
+	}
+}
+
+// One insertion into the near run never moves more than its cap: the run
+// stops accepting at nearCap slots and later schedulings go to the heap,
+// even when every one of them belongs at the front.
+func TestVirtualClockNearInsertBounded(t *testing.T) {
+	p := &partsModel{t: t, e: NewVirtualClock()}
+	e := p.e
+	for i := 3 * nearCap; i > 0; i-- { // descending: each belongs at the head
+		before, farBefore := e.near.n, len(e.far)
+		m := p.schedule(si.Seconds(i) / 1000)
+		p.check()
+		if before == nearCap {
+			if e.near.n != nearCap || len(e.far) != farBefore+1 {
+				t.Fatalf("scheduling %d with near full: near %d, far %d -> %d", m.id, e.near.n, farBefore, len(e.far))
+			}
+			continue
+		}
+		if head := e.near.slots[e.near.head]; head.at != m.at || e.near.n != before+1 {
+			t.Fatalf("scheduling %d: near head due %v (n=%d), want the new earliest slot", m.id, head.at, e.near.n)
+		}
+	}
+	p.run(1)
+	for i, id := range p.got {
+		if id != len(p.got)-1-i {
+			t.Fatalf("firing %d was event %d: not time order", i, id)
+		}
+	}
+}
+
+// The Fig. 14 shape — ten live chains a few milliseconds long over 3,000
+// parked events — schedules and fires without allocating, and without
+// the live events ever reaching the heap.
+func TestVirtualClockLiveChainsOverParkedAllocFree(t *testing.T) {
+	e := NewVirtualClock()
+	for j := 0; j < 3000; j++ {
+		e.Schedule(si.Seconds(1e9+float64(j*7919%3000)), func() {})
+	}
+	fired := 0
+	var tick func(arg any)
+	tick = func(arg any) {
+		fired++
+		e.AfterFunc(si.Seconds(0.002+0.001*float64(arg.(int))), tick, arg)
+	}
+	chains := make([]any, 10) // boxed once, outside the measured region
+	for i := range chains {
+		chains[i] = i
+		e.AfterFunc(si.Seconds(0.001*float64(i)), tick, chains[i])
+	}
+	e.Run(1) // warm the freelist
+	allocs := testing.AllocsPerRun(1000, func() { e.Run(e.Now() + 0.05) })
+	if allocs != 0 {
+		t.Errorf("ten live chains over 3,000 parked events: %v allocs/op, want 0", allocs)
+	}
+	if fired < 10000 || e.Pending() != 3010 || len(e.far) != 3000 {
+		t.Errorf("fired=%d pending=%d far=%d, want the 3,000 parked events alone in the heap under 10 live ones", fired, e.Pending(), len(e.far))
 	}
 }

@@ -106,6 +106,7 @@ func (st *Stream) needService() bool {
 // (dispatch wake-ups, fill completions, departures) with zero heap
 // allocations — the event payload slot carries the receiver.
 func dispatchCB(arg any) { arg.(*Disk).dispatch() }
+func wakeCB(arg any)     { arg.(*Disk).onWake() }
 func departCB(arg any)   { st := arg.(*Stream); st.disk.depart(st) }
 func completeCB(arg any) { st := arg.(*Stream); st.disk.completeService(st) }
 
@@ -182,7 +183,12 @@ type Disk struct {
 
 	busy    bool
 	current *Stream
+	// wake is the pending lazy-start or stall-retry timer; (woken, wokenAt)
+	// is the scheduler's answer a lazy-start wake was set for, woken nil
+	// whenever none is pending (see onWake).
 	wake    Timer
+	woken   *Stream
+	wokenAt si.Seconds
 
 	admitSeq int64 // next stream's admission sequence number
 
@@ -623,12 +629,17 @@ func (d *Disk) firstFresh() *Stream {
 // dispatch is the disk's main decision point: admit what the scheduler's
 // timing allows, pick the next service, and either start it, sleep until
 // its lazy start time, or go idle.
+//
+// Every mutation of the disk's streams, queue or rates — arrival,
+// departure, Extend, rate switch, fill completion — must end in dispatch:
+// it cancels the pending wake and forgets the stream that wake was for,
+// which is what lets onWake start that stream without asking Next again.
 func (d *Disk) dispatch() {
 	if d.busy {
 		return
 	}
 	d.wake.Cancel()
-	d.wake = Timer{}
+	d.wake, d.woken = Timer{}, nil
 	if d.sched.CanAdmit() {
 		d.admitFromQueue()
 	}
@@ -637,9 +648,30 @@ func (d *Disk) dispatch() {
 		return // idle: the next arrival or departure re-dispatches
 	}
 	if startAt > d.now() {
-		d.wake = d.clock.ScheduleFunc(startAt, dispatchCB, d)
+		d.wake = d.clock.ScheduleFunc(startAt, wakeCB, d)
+		d.woken, d.wokenAt = st, startAt
 		return
 	}
+	d.beginService(st)
+}
+
+// onWake fires the lazy-start wake dispatch set for (woken, wokenAt).
+// Whatever the scheduler reads is unchanged — any change goes through
+// dispatch, which cancels this wake — so a second Next would name the
+// same stream, due by now: start it. Three cases still ask: a non-empty
+// admission queue (admitFromQueue's deferrals are observed); a wall shard
+// whose jitter compensation fired before wokenAt (it re-sleeps, as ever);
+// and a k_log cache gone klogRefresh old, the one input of PlanSize that
+// moves with time alone (kcDirty still set means no estimate was asked
+// for since the last arrival, so the plan cannot have read the cache).
+func (d *Disk) onWake() {
+	st, now := d.woken, d.now()
+	if st == nil || d.busy || d.qhead < len(d.queue) || now < d.wokenAt ||
+		(!d.kcDirty && now-d.klogAt > klogRefresh) {
+		d.dispatch()
+		return
+	}
+	d.wake, d.woken = Timer{}, nil
 	d.beginService(st)
 }
 

@@ -39,7 +39,9 @@ func (c *auditClock) AfterFunc(delay si.Seconds, fn func(arg any), arg any) Time
 
 // auditInvariants points clock's audit at every disk of sys and returns
 // a counter of the audits run. A violation fails the test at the event
-// that caused it.
+// that caused it. Beside Disk.invariants it holds the remembered wake to
+// its contract: a stream is remembered only while its wake is pending,
+// and only while the disk still owns it.
 func auditInvariants(t *testing.T, clock *auditClock, sys *System) *int {
 	audits := new(int)
 	clock.audit = func() {
@@ -48,9 +50,19 @@ func auditInvariants(t *testing.T, clock *auditClock, sys *System) *int {
 			if err := sys.Disk(i).invariants(); err != nil {
 				t.Fatalf("t=%v: %v", clock.Now(), err)
 			}
+			checkRememberedWake(t, sys.Disk(i))
 		}
 	}
 	return audits
+}
+
+// checkRememberedWake fails the test if d remembers a stream for a wake
+// that is not pending, or one the disk no longer owns.
+func checkRememberedWake(t *testing.T, d *Disk) {
+	if st := d.woken; st != nil && (!d.wake.Active() || d.busy || !st.active) {
+		t.Fatalf("t=%v: disk %d remembers stream %d (active=%v) with wake pending=%v busy=%v",
+			d.now(), d.id, st.id, st.active, d.wake.Active(), d.busy)
+	}
 }
 
 // highWaterShadow re-derives a disk pool's high-water mark from outside:

@@ -29,7 +29,11 @@ type Scheduler interface {
 	// periods; GSS*: between groups).
 	CanAdmit() bool
 	// Next returns the stream to service next and the latest safe start
-	// time, or nil when nothing needs service. It must be idempotent.
+	// time, or nil when nothing needs service. It must be idempotent: with
+	// no Admit, Remove or OnServiced in between, a second call returns the
+	// same stream and, once now has reached the returned start, a start no
+	// later. The engine relies on it — it asks once per fill and, after
+	// sleeping to a future start, begins that stream unasked (Disk.onWake).
 	Next(now si.Seconds) (*Stream, si.Seconds)
 	// OnServiced records that the stream returned by Next was serviced.
 	OnServiced(st *Stream)

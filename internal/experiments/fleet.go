@@ -87,13 +87,12 @@ func FleetRouting(opt Options) (*Report, error) {
 		bound.Y = append(bound.Y, float64(flow))
 	}
 
-	type pair struct {
-		base, rep *scale.FleetResult
-	}
-	runs, err := runGrid(opt, 1, reps, func(_, rep int) (pair, error) {
-		// Both arms replay the identical trace: the seed is drawn
-		// before the arms diverge, so the comparison is paired.
-		cfg := scale.FleetConfig{
+	// The arm is a grid coordinate, so the two arms of a replication run
+	// side by side — the replicated arm first: it is the long one. Both
+	// replay the identical trace: the seed depends on the replication
+	// alone, so the comparison stays paired.
+	runs, err := runGrid(opt, 2, reps, func(arm, rep int) (*scale.FleetResult, error) {
+		res, err := scale.RunFleet(scale.FleetConfig{
 			Servers:        servers,
 			DisksPerServer: disksPer,
 			Titles:         titles,
@@ -101,23 +100,17 @@ func FleetRouting(opt Options) (*Report, error) {
 			Seed:           opt.runSeed(0, rep, seedTrace),
 			SizeTable:      table,
 			Quick:          opt.Quick,
-		}
-		base, err := scale.RunFleet(cfg)
+			Replicate:      arm == 0,
+		})
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
-		cfg.Replicate = true
-		replicated, err := scale.RunFleet(cfg)
-		if err != nil {
-			return pair{}, err
-		}
-		opt.progress("fleet-routing: replication %d/%d done", rep+1, reps)
-		return pair{base: base, rep: replicated}, nil
+		opt.progress("fleet-routing: arm %d replication %d/%d done", arm, rep+1, reps)
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	results := runs[0]
 
 	summary := Table{
 		Name: "paired arms per replication (identical trace, single copy vs replicated hot set)",
@@ -130,23 +123,24 @@ func FleetRouting(opt Options) (*Report, error) {
 	basePeaks := make([]float64, reps)
 	repPeaks := make([]float64, reps)
 	underruns := 0
-	for r, p := range results {
-		ratio := float64(p.rep.Routed) / float64(p.base.Routed)
+	for r, rep := range runs[0] {
+		base := runs[1][r]
+		ratio := float64(rep.Routed) / float64(base.Routed)
 		ratios[r] = ratio
-		basePeaks[r] = float64(p.base.PeakTotal)
-		repPeaks[r] = float64(p.rep.PeakTotal)
-		underruns += p.base.Underruns + p.rep.Underruns
+		basePeaks[r] = float64(base.PeakTotal)
+		repPeaks[r] = float64(rep.PeakTotal)
+		underruns += base.Underruns + rep.Underruns
 		summary.Rows = append(summary.Rows, []string{
 			fmt.Sprintf("%d", r),
-			fmt.Sprintf("%d", p.base.Requests),
-			fmt.Sprintf("%d", p.base.Routed),
-			fmt.Sprintf("%d", p.rep.Routed),
+			fmt.Sprintf("%d", base.Requests),
+			fmt.Sprintf("%d", base.Routed),
+			fmt.Sprintf("%d", rep.Routed),
 			fmt.Sprintf("%.2fx", ratio),
-			fmt.Sprintf("%d", p.rep.Failovers),
-			fmt.Sprintf("%d", p.rep.Rejected),
-			fmt.Sprintf("%d", p.base.PeakTotal),
-			fmt.Sprintf("%d", p.rep.PeakTotal),
-			fmt.Sprintf("%d", p.base.Underruns+p.rep.Underruns),
+			fmt.Sprintf("%d", rep.Failovers),
+			fmt.Sprintf("%d", rep.Rejected),
+			fmt.Sprintf("%d", base.PeakTotal),
+			fmt.Sprintf("%d", rep.PeakTotal),
+			fmt.Sprintf("%d", base.Underruns+rep.Underruns),
 		})
 	}
 

@@ -35,9 +35,9 @@ func ScaleLargeN(opt Options) (*Report, error) {
 	method := sched.RoundRobin
 
 	// The sizing table is the dominant per-run setup cost at N = 1599;
-	// build it once and share it across replications (scale.Run treats it
-	// as immutable).
-	table := scale.NewSizeTable(method)
+	// one memoized instance serves every replication and every later Run
+	// (scale.Run treats it as immutable, and rejects a mismatched one).
+	table := sharedSizeTable(env.Spec, method, env.CR, env.Alpha)
 
 	knee := Table{
 		Name:    fmt.Sprintf("the memory knee: per-buffer size BS(n, k=16) toward N = %d", env.N),
@@ -155,37 +155,29 @@ func ZipfSharing(opt Options) (*Report, error) {
 	}
 	method := sched.RoundRobin
 	env := scale.Environment()
-	table := scale.NewSizeTable(method)
+	table := sharedSizeTable(env.Spec, method, env.CR, env.Alpha)
 	const disks = 2
 
-	type pair struct {
-		base, shared *scale.SharingResult
-	}
-	runs, err := runGrid(opt, 1, reps, func(_, rep int) (pair, error) {
-		// Both arms replay the identical trace: the seed is drawn before
-		// the arms diverge, so the comparison is paired.
-		cfg := scale.SharingConfig{
+	// The arm is a grid coordinate, so the two arms of a replication run
+	// side by side. Both replay the identical trace: the seed depends on
+	// the replication alone, so the comparison stays paired.
+	runs, err := runGrid(opt, 2, reps, func(arm, rep int) (*scale.SharingResult, error) {
+		res, err := scale.RunSharing(scale.SharingConfig{
 			Disks:     disks,
 			Method:    method,
 			Seed:      opt.runSeed(0, rep, seedTrace),
 			SizeTable: table,
-		}
-		base, err := scale.RunSharing(cfg)
+			Sharing:   arm == 1,
+		})
 		if err != nil {
-			return pair{}, err
+			return nil, err
 		}
-		cfg.Sharing = true
-		shared, err := scale.RunSharing(cfg)
-		if err != nil {
-			return pair{}, err
-		}
-		opt.progress("zipf-sharing: replication %d/%d done", rep+1, reps)
-		return pair{base: base, shared: shared}, nil
+		opt.progress("zipf-sharing: arm %d replication %d/%d done", arm, rep+1, reps)
+		return res, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	results := runs[0]
 
 	summary := Table{
 		Name: "paired arms per replication (identical trace, sharing off vs on)",
@@ -200,23 +192,24 @@ func ZipfSharing(opt Options) (*Report, error) {
 	}
 	underruns, rejected := 0, 0
 	ratios := make([]float64, reps)
-	for r, p := range results {
-		ratio := float64(p.shared.Admitted) / float64(p.base.Admitted)
+	for r, base := range runs[0] {
+		shared := runs[1][r]
+		ratio := float64(shared.Admitted) / float64(base.Admitted)
 		ratios[r] = ratio
-		underruns += p.shared.Sim.Underruns
-		rejected += p.shared.Rejected
+		underruns += shared.Sim.Underruns
+		rejected += shared.Rejected
 		summary.Rows = append(summary.Rows, []string{
 			fmt.Sprintf("%d", r),
-			fmt.Sprintf("%d", p.base.Requests),
-			fmt.Sprintf("%d", p.base.Admitted),
-			fmt.Sprintf("%d", p.shared.Admitted),
+			fmt.Sprintf("%d", base.Requests),
+			fmt.Sprintf("%d", base.Admitted),
+			fmt.Sprintf("%d", shared.Admitted),
 			fmt.Sprintf("%.2fx", ratio),
-			fmt.Sprintf("%d", p.shared.Rejected),
-			fmt.Sprintf("%d", p.shared.Sim.Underruns),
-			fmt.Sprintf("%d", p.base.EngineStreamsPeak),
-			fmt.Sprintf("%d", p.shared.EngineStreamsPeak),
+			fmt.Sprintf("%d", shared.Rejected),
+			fmt.Sprintf("%d", shared.Sim.Underruns),
+			fmt.Sprintf("%d", base.EngineStreamsPeak),
+			fmt.Sprintf("%d", shared.EngineStreamsPeak),
 		})
-		tot := p.shared.Share.Totals
+		tot := shared.Share.Totals
 		mech.Rows = append(mech.Rows, []string{
 			fmt.Sprintf("%d", r),
 			fmt.Sprintf("%d", tot.Leaders),
@@ -225,7 +218,7 @@ func ZipfSharing(opt Options) (*Report, error) {
 			fmt.Sprintf("%d", tot.CacheOnly),
 			tot.CacheHitBits.String(),
 			fmt.Sprintf("%d", tot.PeakFanout),
-			fmt.Sprintf("%d", p.shared.Share.CachedTitles),
+			fmt.Sprintf("%d", shared.Share.CachedTitles),
 		})
 	}
 

@@ -130,7 +130,7 @@ func (c *FleetConfig) normalize() error {
 func FleetEnvironment() Env {
 	spec := Spec()
 	cr := si.Mbps(fleetCRMbps)
-	return Env{Spec: spec, CR: cr, N: spec.MaxConcurrent(cr)}
+	return Env{Spec: spec, CR: cr, N: spec.MaxConcurrent(cr), Alpha: alpha}
 }
 
 // NewFleetSizeTable builds the fleet's dynamic sizing table for sharing

@@ -181,6 +181,10 @@ type Env struct {
 	Spec diskmodel.Spec
 	CR   si.BitRate
 	N    int // per-disk concurrent-stream capacity
+
+	// Alpha is the inertia slack the scenarios size with; together with
+	// Spec and CR it names their sizing table.
+	Alpha int
 }
 
 // Environment derives the scenario's fixed environment: the modern
@@ -188,7 +192,7 @@ type Env struct {
 func Environment() Env {
 	spec := Spec()
 	cr := si.Mbps(crMbps)
-	return Env{Spec: spec, CR: cr, N: spec.MaxConcurrent(cr)}
+	return Env{Spec: spec, CR: cr, N: spec.MaxConcurrent(cr), Alpha: alpha}
 }
 
 // NewSizeTable builds the scenario's dynamic sizing table for sharing

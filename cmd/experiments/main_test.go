@@ -3,13 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	vod "repro"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files under testdata/")
@@ -264,50 +261,5 @@ func TestGoldenQoEAdaptationQuick(t *testing.T) {
 	}
 	if one != out || eight != out {
 		t.Error("qoe-adaptation report depends on the worker count")
-	}
-}
-
-// renderCSV reproduces the -format csv rendering for a report produced
-// by calling the library directly (needed for options the CLI does not
-// expose, like the uniform-ladder oracle).
-func renderCSV(t *testing.T, id string, opt vod.ExperimentOptions) string {
-	t.Helper()
-	rep, err := vod.RunExperiment(id, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	fmt.Fprintf(&out, "# %s: %s\n", rep.ID, rep.Title)
-	if err := rep.WriteCSV(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out.String()
-}
-
-// The multi-rate oracle: running the single-rate experiments with every
-// title carrying a degenerate one-rung ladder — so each request arrives
-// stamped with the (uniform) base rate and the engine runs in multi-rate
-// mode — must reproduce the committed single-rate goldens byte for byte.
-// This pins the tentpole's contract that uniform-rate configurations go
-// through code paths equivalent to the legacy single-rate ones.
-func TestUniformLadderOracle(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation experiment")
-	}
-	for _, tc := range []struct {
-		id, golden string
-		opt        vod.ExperimentOptions
-	}{
-		{"table3", "table3.csv", vod.ExperimentOptions{UniformLadder: true}},
-		{"fig7", "fig7_quick.csv", vod.ExperimentOptions{Quick: true, Seeds: 2, UniformLadder: true}},
-	} {
-		got := renderCSV(t, tc.id, tc.opt)
-		want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != string(want) {
-			t.Errorf("%s with a uniform ladder differs from the single-rate golden %s", tc.id, tc.golden)
-		}
 	}
 }

@@ -241,9 +241,8 @@ func (d *Disk) rungAbove(st *Stream) *rateCtx {
 // switchRate moves an in-service stream to the rate context to: the
 // in-service-bandwidth book and the live-rate counters are re-booked (so
 // planOverLive immediately plans against the new mix), the buffer pool
-// drains the old rate's history and starts
-// draining the level at the new rate, and the stream's remaining demand
-// is re-planned — what the viewer has consumed stays consumed, the rest
+// drains the old rate's history and starts draining the level at the new
+// rate, and the stream's remaining demand is re-planned — what the viewer has consumed stays consumed, the rest
 // of the viewing time costs the new rate.
 //
 // The committed-bandwidth book deliberately never shrinks: a down-switch

@@ -4,11 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/catalog"
-	"repro/internal/diskmodel"
-	"repro/internal/sched"
 	"repro/internal/si"
-	"repro/internal/workload"
 )
 
 // switchRecorder captures OnRateSwitch callbacks.
@@ -29,47 +25,11 @@ func (r *switchRecorder) OnRateSwitch(disk int, st *Stream, from, to si.BitRate,
 	}{st.ID(), from, to, now})
 }
 
-// adaptDisk is multiRateDisk with adaptation enabled and an observer.
+// adaptDisk is a loaded three-rung disk (see loadedDisk) with adaptation
+// enabled and an observer.
 func adaptDisk(t *testing.T, obs Observer) *Disk {
 	t.Helper()
-	ladder := []si.BitRate{si.Mbps(1.5), si.Mbps(1.0), si.Mbps(0.5)}
-	lib, err := catalog.New(catalog.Config{
-		Titles: 6, Disks: 1, Spec: diskmodel.Barracuda9LP(), PopularityTheta: 0.271,
-		Video: func(id int) catalog.Video {
-			v := catalog.MPEG1Video(id)
-			v.Ladder = ladder
-			return v
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(Config{
-		Clock:     NewVirtualClock(),
-		Allocator: DynamicAllocator{},
-		Method:    sched.NewMethod(sched.RoundRobin),
-		Spec:      diskmodel.Barracuda9LP(),
-		CR:        ladder[0],
-		Rates:     ladder,
-		Adapt:     &AdaptConfig{},
-		Alpha:     1,
-		TLog:      si.Minutes(40),
-		Library:   lib,
-		Observer:  obs,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	vc := sys.Clock().(*VirtualClock)
-	for i := 0; i < 24; i++ {
-		vc.Run(si.Seconds(i * 2))
-		sys.OnArrival(workload.Request{
-			ID: i, Arrival: si.Seconds(i * 2), Video: i % 6, Disk: 0,
-			Viewing: si.Minutes(30), Rate: ladder[i%len(ladder)],
-		})
-	}
-	vc.Run(si.Seconds(120))
-	return sys.Disk(0)
+	return loadedDisk(t, ladders["ladder"], func(c *Config) { c.Adapt, c.Observer = &AdaptConfig{}, obs })
 }
 
 // startedAt returns a started in-service stream currently at the given

@@ -15,6 +15,9 @@ import (
 // Size may record per-allocation bookkeeping on the disk (the dynamic
 // scheme's inertia snapshot and prediction-success entry); Admit and
 // PlanSize must not mutate anything other than the disk's k_log cache.
+// The engine always passes d's current in-service count as n; the schemes
+// here size at the equivalent load each rate sees (Disk.effLoad), which
+// is n itself while every stream runs at one rate.
 type Allocator interface {
 	// Size computes the buffer size for the next service of st when n
 	// requests are in service, recording whatever bookkeeping the scheme
@@ -34,24 +37,13 @@ type Allocator interface {
 // (Section 2.3): correct at any load, maximally wasteful below full load.
 type StaticAllocator struct{}
 
-// Size returns BS(N) regardless of load — each rate's own full-load size
-// when streams carry per-rate contexts.
-func (StaticAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
-	if st.ctx != nil {
-		return st.ctx.staticSize
-	}
-	return d.sys.staticSize
-}
+// Size returns BS(N) regardless of load — the stream's own rate's
+// full-load size.
+func (StaticAllocator) Size(d *Disk, st *Stream, n int) si.Bits { return st.ctx.staticSize }
 
 // PlanSize returns BS(N): static planning assumes the worst everywhere
-// (in multi-rate mode, the widest full-load size among the rates in
-// service).
-func (StaticAllocator) PlanSize(d *Disk, n int) si.Bits {
-	if d.sys.multi != nil {
-		return d.planOverLive(func(c *rateCtx) si.Bits { return c.staticSize })
-	}
-	return d.sys.staticSize
-}
+// (the widest full-load size among the rates in service).
+func (StaticAllocator) PlanSize(d *Disk, n int) si.Bits { return d.planOverLive(fullLoad, 0, 0) }
 
 // Admit always accepts; the capacity bound N is enforced upstream.
 func (StaticAllocator) Admit(d *Disk, n int) bool { return true }
@@ -67,7 +59,7 @@ type DynamicAllocator struct{}
 // estimate for prediction-success scoring.
 func (DynamicAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
 	kc := d.Estimate(n)
-	size := d.sizeForStream(st, n, kc)
+	size := d.sizeAt(st.ctx, theorem1, 0, kc)
 	d.book.Set(st.id, core.Allocation{N: n, K: kc})
 	if d.budget != nil {
 		// Churn-safe enforcement: this fill opens a fresh k_i admission
@@ -90,27 +82,16 @@ func (DynamicAllocator) PlanSize(d *Disk, n int) si.Bits {
 		k = d.Estimate(n) // empty book: fall back to the estimate
 	}
 	k += d.sys.params.Alpha
+	floor := 0
 	if d.sys.cfg.RampAwarePlanning {
 		// Plan at the admission window's full load, not today's: the
 		// enforcement admits up to min_i(n_i+k_i) concurrent streams,
 		// and a fill late in the coming round allocates at whatever
 		// load the window has reached by then (see
 		// Config.RampAwarePlanning).
-		if m := d.book.MinNK(); m > n {
-			n = m
-			if n > d.sys.params.N {
-				n = d.sys.params.N
-			}
-		}
+		floor = d.book.MinNK()
 	}
-	if d.sys.multi != nil {
-		// Multi-rate: the widest size among the rates in service, each
-		// at the disk's bandwidth-equivalent load — conservative for
-		// every stream the coming round may actually service.
-		kk := k
-		return d.planOverLive(func(c *rateCtx) si.Bits { return c.table.Size(d.effLoad(c), kk) })
-	}
-	return d.sys.sizeFor(d, n, k)
+	return d.planOverLive(theorem1, floor, k)
 }
 
 // Admit applies the Fig. 5 enforcement rule: an arrival may enter only
@@ -123,6 +104,15 @@ func (DynamicAllocator) Admit(d *Disk, n int) bool {
 	return d.budget == nil || core.AdmitBudget(d.budget, d.admits)
 }
 
+// estimateSize is Size for the two schemes that size from the estimate
+// alone, with no enforcement: formula f at the estimate kc.
+func estimateSize(d *Disk, st *Stream, n int, f formula) si.Bits {
+	kc := d.Estimate(n)
+	size := d.sizeAt(st.ctx, f, 0, kc)
+	d.recordEstimate(size, kc)
+	return size
+}
+
 // NaiveAllocator is the flawed strawman of Section 3.1: Eq. 5 evaluated at
 // n+k with no recurrence and no enforcement. It underruns under rising
 // load — the failure (Fig. 3) that motivates the dynamic scheme.
@@ -130,26 +120,10 @@ type NaiveAllocator struct{}
 
 // Size evaluates Eq. 5 directly at n+kc — the flaw: no recurrence, so a
 // stream sized now is not protected against arrivals sized later.
-func (NaiveAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
-	kc := d.Estimate(n)
-	var size si.Bits
-	if st.ctx == nil {
-		size = d.sys.naiveSizeFor(n, kc)
-	} else {
-		size = d.sys.naiveTabFor(st.ctx).Size(d.effLoad(st.ctx), kc)
-	}
-	d.recordEstimate(size, kc)
-	return size
-}
+func (NaiveAllocator) Size(d *Disk, st *Stream, n int) si.Bits { return estimateSize(d, st, n, eq5) }
 
 // PlanSize mirrors Size for sweep planning.
-func (NaiveAllocator) PlanSize(d *Disk, n int) si.Bits {
-	if d.sys.multi != nil {
-		k := d.Estimate(n)
-		return d.planOverLive(func(c *rateCtx) si.Bits { return d.sys.naiveTabFor(c).Size(d.effLoad(c), k) })
-	}
-	return d.sys.naiveSizeFor(n, d.Estimate(n))
-}
+func (NaiveAllocator) PlanSize(d *Disk, n int) si.Bits { return d.planOverLive(eq5, 0, d.Estimate(n)) }
 
 // Admit always accepts — the absent enforcement is the point.
 func (NaiveAllocator) Admit(d *Disk, n int) bool { return true }
@@ -163,24 +137,12 @@ type DybaseAllocator struct{}
 
 // Size evaluates the DYBASE recurrence at (n, kc).
 func (DybaseAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
-	kc := d.Estimate(n)
-	var size si.Bits
-	if st.ctx == nil {
-		size = d.sys.dybaseSizeFor(n, kc)
-	} else {
-		size = d.sys.dybaseTabFor(st.ctx).Size(d.effLoad(st.ctx), kc)
-	}
-	d.recordEstimate(size, kc)
-	return size
+	return estimateSize(d, st, n, dybase)
 }
 
 // PlanSize mirrors Size for sweep planning.
 func (DybaseAllocator) PlanSize(d *Disk, n int) si.Bits {
-	if d.sys.multi != nil {
-		k := d.Estimate(n)
-		return d.planOverLive(func(c *rateCtx) si.Bits { return d.sys.dybaseTabFor(c).Size(d.effLoad(c), k) })
-	}
-	return d.sys.dybaseSizeFor(n, d.Estimate(n))
+	return d.planOverLive(dybase, 0, d.Estimate(n))
 }
 
 // Admit always accepts: DYBASE has no runtime enforcement.
@@ -189,8 +151,8 @@ func (DybaseAllocator) Admit(d *Disk, n int) bool { return true }
 // KneeAllocator is the memory-knee-aware fourth scheme (ROADMAP item 3):
 // the dynamic scheme's sizing and enforcement with admission capped near
 // the Theorem 1 memory knee — by default half the disk's stream capacity
-// and, in multi-rate mode, half its transfer rate — so the disk never
-// climbs the steep half of the memory curve. It trades peak concurrency
+// and half its transfer rate — so the disk never climbs the steep half of
+// the memory curve. It trades peak concurrency
 // for per-stream buffers an order of magnitude smaller near the cap, and
 // pairs naturally with downgrading admission: capped capacity converts
 // into lower rungs instead of rejections.
@@ -198,7 +160,7 @@ type KneeAllocator struct {
 	DynamicAllocator
 
 	// Fraction positions the cap: admissions stop at Fraction·N committed
-	// streams (and Fraction·TR committed bandwidth in multi-rate mode).
+	// streams and Fraction·TR committed bandwidth.
 	// <= 0 means the knee default 0.5; values above 1 are clamped to 1.
 	Fraction float64
 }

@@ -19,10 +19,10 @@ type Stream struct {
 	id          int
 	req         workload.Request
 	place       catalog.Placement
-	rate        si.BitRate // consumption rate (== cfg.CR in uniform mode)
+	rate        si.BitRate // consumption rate (== ctx.rate)
 	want        si.BitRate // rung the viewer requested — adaptation's up-switch ceiling
 	booked      si.BitRate // rate held in the committed-bandwidth book (never shrinks mid-stream)
-	ctx         *rateCtx   // per-rate sizing context; nil in uniform mode
+	ctx         *rateCtx   // sizing context of the current rate
 	nAtArrival  int        // requests in service at its arrival (Fig. 11's x-axis)
 	required    si.Bits    // total data the user will consume: rate · viewing
 	delivered   si.Bits    // data read from disk so far
@@ -152,15 +152,15 @@ type Disk struct {
 	est  *core.Estimator
 
 	// Committed (in-service + queued) and in-service consumption
-	// bandwidth — the multi-rate admission and bandwidth-equivalent
-	// sizing signals, maintained in uniform mode too (where they are
-	// simply committed()·CR and n()·CR).
+	// bandwidth — the admission and bandwidth-equivalent sizing signals
+	// (committed()·CR and n()·CR, up to float residue, while every stream
+	// runs at one rate).
 	committedRate si.BitRate
 	serviceRate   si.BitRate
 
 	// rateLive counts in-service streams per rate context (indexed by
-	// rateCtx.idx); nil in uniform mode. Worst-case planning bounds over
-	// the contexts with live streams only.
+	// rateCtx.idx). Worst-case planning bounds over the contexts with live
+	// streams only.
 	rateLive []int
 
 	// admits counts streams that entered service over the disk's
@@ -252,19 +252,18 @@ func newDisk(sys *System, id int) *Disk {
 		pool:  buffer.NewPagedPool(0, sys.cfg.PageSize),
 		book:  core.NewBook(),
 		est:   core.NewEstimator(sys.cfg.TLog),
+
+		rateLive: make([]int, len(sys.ctxs)),
 	}
 	if sys.cfg.ChurnSafeAdmission {
 		d.budget = core.NewBook()
-	}
-	if len(sys.ctxs) > 0 {
-		d.rateLive = make([]int, len(sys.ctxs))
 	}
 	if sys.cfg.UnderrunTolerance > 0 {
 		d.pool.SetUnderrunTolerance(sys.cfg.UnderrunTolerance)
 	}
 	// A sane initial period guess: the usage period of the smallest
 	// dynamic buffer. Updated at every allocation.
-	d.lastPeriod = sys.params.UsagePeriod(sys.sizeFor(d, 1, sys.params.Alpha))
+	d.lastPeriod = sys.params.UsagePeriod(sys.ctxs[0].table.Size(1, sys.params.Alpha))
 	if sys.cfg.NewScheduler != nil {
 		d.sched = sys.cfg.NewScheduler(d)
 	} else {
@@ -329,8 +328,9 @@ func (d *Disk) DiskStats() diskmodel.ReadStats { return d.disk.Stats() }
 func (d *Disk) Streams() []*Stream { return d.streams }
 
 // onArrival handles a request arriving at this disk: record it for the
-// estimator, reject it when the disk or the admission gate is full, else
-// accept it into the deferral queue and try to dispatch.
+// estimator, reject it when nothing can size its rate or when the disk or
+// the admission gate is full, else accept it into the deferral queue and
+// try to dispatch.
 func (d *Disk) onArrival(req workload.Request) {
 	now := d.now()
 	d.est.RecordArrival(now)
@@ -342,12 +342,11 @@ func (d *Disk) onArrival(req workload.Request) {
 		rate = d.sys.cfg.CR
 	}
 	want := rate
-	if d.sys.multi == nil {
-		if d.committed() >= d.sys.admitCap {
-			d.sys.obs.OnReject(d.id, req, RejectCapacity, now)
-			return
-		}
-	} else if !d.fitsRate(rate) {
+	if d.sys.ctxFor(rate) == nil {
+		d.sys.obs.OnReject(d.id, req, RejectRate, now)
+		return
+	}
+	if !d.fitsRate(rate) {
 		// Predicted shortfall at the requested rung: walk the title's
 		// ladder downward (arXiv:1604.00894's downgrading allocation)
 		// before giving up.
@@ -370,7 +369,7 @@ func (d *Disk) onArrival(req workload.Request) {
 
 // fitsRate reports whether one more committed stream at rate r keeps the
 // disk inside both its count capacity and its committed-bandwidth
-// capacity — the multi-rate generalization of N·CR < TR.
+// capacity — the mixed-rate generalization of N·CR < TR.
 func (d *Disk) fitsRate(r si.BitRate) bool {
 	if d.committed() >= d.sys.admitCap {
 		return false
@@ -536,9 +535,7 @@ func (d *Disk) admitFromQueue() {
 		d.streams = append(d.streams, st)
 		d.fresh = append(d.fresh, st)
 		d.serviceRate += q.rate
-		if st.ctx != nil {
-			d.rateLive[st.ctx.idx]++
-		}
+		d.rateLive[st.ctx.idx]++
 		d.pool.Attach(st.id, q.rate, d.now())
 		d.sched.Admit(st)
 		d.sys.obs.OnAdmit(d.id, st, d.now())
@@ -556,9 +553,7 @@ func (d *Disk) removeStream(st *Stream) {
 	st.departT = Timer{}
 	d.serviceRate -= st.rate
 	d.committedRate -= st.booked
-	if st.ctx != nil {
-		d.rateLive[st.ctx.idx]--
-	}
+	d.rateLive[st.ctx.idx]--
 	d.dlRemove(st)
 	d.pool.Detach(st.id, d.now())
 	d.book.Remove(st.id)
@@ -844,61 +839,59 @@ func (d *Disk) countArrivals(lo, hi si.Seconds) int {
 }
 
 // effLoad maps the disk's in-service load to an equivalent stream count
-// at ctx's rate: the load whose sizing row covers the same round of disk
-// work. Two dimensions bound the round — its transfer work scales with
-// the consumption bandwidth (ceil(serviceRate/rate) rate-c streams move
-// the same bits), but its seek-and-rotation work scales with the stream
-// COUNT, which a bandwidth quotient undercounts whenever the mix skews
-// below c. The equivalent load is therefore the larger of the two,
-// clamped into the ctx table's [1, N]; for a uniform mix they coincide
-// and the quotient alone is exact. Undersizing the high rungs in a
-// low-skewed mix is not hypothetical: the buffers the inertia book
+// at c's rate: the load whose sizing row covers the same round of disk
+// work. While every live stream runs at c's rate that is the stream
+// count itself, read off rateLive so float residue in serviceRate never
+// reaches a uniform run. In a mixed population two dimensions bound the
+// round — its transfer work scales with the consumption bandwidth
+// (ceil(serviceRate/rate) rate-c streams move the same bits), but its
+// seek-and-rotation work scales with the stream COUNT, which a bandwidth
+// quotient undercounts whenever the mix skews below c — and the
+// equivalent load is the larger of the two. Undersizing the high rungs in
+// a low-skewed mix is not hypothetical: the buffers the inertia book
 // snapshots would cover fewer services than the round actually contains,
 // admission quietly over-commits, and the schedule erodes into underruns
 // — the regime mid-stream down-switching (AdaptConfig) steers into.
-func (d *Disk) effLoad(c *rateCtx) int {
-	n := int(math.Ceil(float64(d.serviceRate) / float64(c.rate)))
-	if live := len(d.streams); n < live {
-		n = live
+//
+// floor raises the answer to a load planning must assume anyway (the
+// ramp-aware admission window, see DynamicAllocator.PlanSize); the result
+// is clamped into c's own table range [1, N].
+func (d *Disk) effLoad(c *rateCtx, floor int) int {
+	n := len(d.streams)
+	if d.rateLive[c.idx] != n {
+		n = max(n, int(math.Ceil(float64(d.serviceRate)/float64(c.rate))))
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > c.params.N {
-		n = c.params.N
-	}
-	return n
+	return min(max(n, floor, 1), c.params.N)
 }
 
-// sizeForStream evaluates the dynamic sizing table for st at prediction
-// k: the system table at load n in uniform mode, st's own rate context
-// at the disk's bandwidth-equivalent load otherwise.
-func (d *Disk) sizeForStream(st *Stream, n, k int) si.Bits {
-	if st.ctx == nil {
-		return d.sys.sizeFor(d, n, k)
+// sizeAt evaluates formula f for a stream of c's rate at the disk's
+// equivalent load (see effLoad) and prediction k.
+func (d *Disk) sizeAt(c *rateCtx, f formula, floor, k int) si.Bits {
+	t := c.table
+	switch f {
+	case fullLoad:
+		return c.staticSize
+	case eq5, dybase:
+		t = d.sys.lazyTable(c, f)
 	}
-	return st.ctx.table.Size(d.effLoad(st.ctx), k)
+	return t.Size(d.effLoad(c, floor), k)
 }
 
-// planOverLive bounds a per-rate plan quantity over the rate contexts
-// with streams currently in service, each evaluated at the disk's
-// bandwidth-equivalent load; an idle disk plans with the base rate. Only
-// meaningful in multi-rate mode. Bounding over live rates — not every
-// configured one — matters: a slow rung evaluated near its own capacity
-// knee would inflate every worst-case service estimate and wreck the
-// schedule for the streams that actually exist.
-func (d *Disk) planOverLive(size func(c *rateCtx) si.Bits) si.Bits {
+// planOverLive bounds sizeAt over the rate contexts with streams
+// currently in service. Bounding over live rates — not every configured
+// one — matters: a slow rung evaluated near its own capacity knee would
+// inflate every worst-case service estimate and wreck the schedule for
+// the streams that actually exist.
+func (d *Disk) planOverLive(f formula, floor, k int) si.Bits {
+	if d.rateLive[0] == len(d.streams) {
+		// Only the base rate is live, or the disk is idle and plans with it.
+		return d.sizeAt(d.sys.ctxs[0], f, floor, k)
+	}
 	var max si.Bits
 	for i, c := range d.sys.ctxs {
-		if d.rateLive[i] == 0 {
-			continue
+		if d.rateLive[i] > 0 {
+			max = maxBits(max, d.sizeAt(c, f, floor, k))
 		}
-		if s := size(c); s > max {
-			max = s
-		}
-	}
-	if max == 0 {
-		max = size(d.sys.ctxs[0])
 	}
 	return max
 }

@@ -75,11 +75,11 @@ type Config struct {
 
 	// Rates lists the additional per-stream consumption rates the system
 	// must be able to serve: the union of the library's ladder rungs.
-	// Each rate gets its own memoized sizing tables (DeriveN, Theorem 1
-	// recurrence, Eq. 5, DYBASE) built at construction. Duplicates and
-	// rates equal to CR are dropped; an empty normalized set leaves the
-	// engine in the paper's uniform-rate mode, which runs exactly the
-	// single-rate code paths — the oracle tests pin this.
+	// Each distinct rate, CR first, gets its own sizing context (DeriveN,
+	// the Theorem 1 table, and the Eq. 5 and DYBASE tables on first use);
+	// duplicates and rates equal to CR add none. The paper's uniform-rate
+	// regime is simply the one-context case of the same code. An arrival
+	// at a rate with no context is rejected (RejectRate).
 	Rates []si.BitRate
 
 	// Downgrade enables downgrading admission (arXiv:1604.00894): an
@@ -188,66 +188,70 @@ type Config struct {
 // System is a group of disks sharing one clock domain, allocator, and
 // parameter set — the runtime a driver feeds requests into.
 type System struct {
-	cfg        Config
-	domain     ClockDomain
-	obs        Observer
-	gate       Gate
-	params     core.Params
-	table      *core.Table
-	naiveOnce  sync.Once
-	naiveTab   *core.Table // lazily memoized Eq. 5 sizes (naive scheme)
-	dybaseOnce sync.Once
-	dybaseTab  *core.Table // lazily memoized DYBASE recurrence sizes
-	staticSize si.Bits
-	disks      []*Disk
+	cfg    Config
+	domain ClockDomain
+	obs    Observer
+	gate   Gate
+	disks  []*Disk
 
-	// multi holds one sizing context per distinct stream rate (including
-	// CR) when Config.Rates normalizes non-empty; nil in uniform mode,
-	// where streams carry no context and every sizing decision takes the
-	// legacy single-rate path above.
-	multi map[si.BitRate]*rateCtx
-	// ctxs lists the same contexts in construction order (base CR first);
+	// params are the base rate's sizing parameters, ctxs[0].params by
+	// value: the estimator and the refill floor read them on every fill.
+	params core.Params
+
+	// ctxs holds one sizing context per distinct stream rate, the base CR
+	// first — the only entry in the paper's uniform-rate regime;
 	// rateCtx.idx indexes it, as does each disk's live-stream counter.
 	// Worst-case planning walks it, bounding over the rates actually in
 	// service rather than the widest configured rate — a hypothetical
 	// slow-rate stream near its own capacity knee would otherwise inflate
 	// every plan and wreck the schedule for the streams that exist.
-	ctxs    []*rateCtx
-	planCtx *rateCtx // widest-buffer context: layout checks (planStatic)
+	ctxs []*rateCtx
 
 	// adapt is the normalized mid-stream adaptation policy; nil when
 	// adaptation is off, in which case no switching code runs at all.
 	adapt *AdaptConfig
 
 	// admitCap is the committed-stream count capacity arrivals are
-	// rejected at: N in uniform mode, DeriveN at the smallest rate in
-	// multi-rate mode, lowered by a capping allocator (KneeAllocator).
+	// rejected at: DeriveN at the smallest configured rate (N in the
+	// uniform regime), lowered by a capping allocator (KneeAllocator).
 	admitCap int
-	// bwCap is the committed consumption-bandwidth capacity of a disk in
-	// multi-rate mode (Σ rates must stay strictly below it, generalizing
-	// N·CR < TR): the transfer rate, lowered by a capping allocator.
+	// bwCap is the committed consumption-bandwidth capacity of a disk (Σ
+	// rates must stay strictly below it, generalizing N·CR < TR): the
+	// transfer rate, lowered by a capping allocator.
 	bwCap si.BitRate
 }
 
+// formula names what sizes a buffer: one of a rate context's sizing
+// tables, or its full-load constant. The formulas before theorem1 index
+// rateCtx.lazy and lazySize.
+type formula int
+
+const (
+	eq5      formula = iota // the naive scheme: Eq. 5 at n+k
+	dybase                  // the DYBASE recurrence
+	theorem1                // the dynamic scheme's recurrence (Section 3.2)
+	fullLoad                // the static scheme: BS(N) at any load
+)
+
 // rateCtx is one consumption rate's sizing context: its derived
-// parameters (own N = DeriveN(TR, rate)) and the per-scheme memoized
-// sizing tables, mirroring the System's single-rate fields. The naive
-// and DYBASE tables are built lazily under a Once because disks on
-// different shards of a multi-shard clock domain race to trigger them.
+// parameters (own N = DeriveN(TR, rate)), its full-load size and its
+// sizing tables. The comparison schemes' tables (eq5, dybase) are built on
+// first use, under a Once because disks on different shards of a
+// multi-shard clock domain race to trigger them.
 type rateCtx struct {
 	idx        int // position in System.ctxs; indexes Disk.rateLive
 	rate       si.BitRate
 	params     core.Params
-	table      *core.Table
-	naiveOnce  sync.Once
-	naiveTab   *core.Table
-	dybaseOnce sync.Once
-	dybaseTab  *core.Table
 	staticSize si.Bits
+	table      *core.Table // Theorem 1, built at construction
+	lazy       [theorem1]struct {
+		once sync.Once
+		tab  *core.Table
+	}
 }
 
-// New builds a System: derives the sizing parameters from the disk and
-// consumption rate (Eq. 1), precomputes the dynamic size table
+// New builds a System: derives the sizing parameters of every stream rate
+// from the disk (Eq. 1), precomputes the dynamic size tables
 // (Section 3.3), and creates one Disk per library disk.
 func New(cfg Config) (*System, error) {
 	if cfg.Clock == nil {
@@ -265,103 +269,36 @@ func New(cfg Config) (*System, error) {
 	if err := cfg.Method.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.CR <= 0 || cfg.CR >= cfg.Spec.TransferRate {
-		return nil, fmt.Errorf("engine: consumption rate %v outside (0, TR)", cfg.CR)
-	}
-	for i, r := range cfg.Rates {
-		if r <= 0 || r >= cfg.Spec.TransferRate {
-			return nil, fmt.Errorf("engine: stream rate %v (Rates[%d] of %d) outside (0, TR=%v)",
-				r, i, len(cfg.Rates), cfg.Spec.TransferRate)
-		}
-	}
 	if cfg.TLog <= 0 {
 		return nil, fmt.Errorf("engine: non-positive TLog %v", cfg.TLog)
 	}
-	sys := &System{cfg: cfg, domain: cfg.Clock, gate: cfg.Gate}
+	sys := &System{cfg: cfg, domain: cfg.Clock, gate: cfg.Gate, bwCap: cfg.Spec.TransferRate}
 	sys.obs = cfg.Observer
 	if sys.obs == nil {
 		sys.obs = NopObserver{}
 	}
-	sys.params = core.Params{
-		TR:    cfg.Spec.TransferRate,
-		CR:    cfg.CR,
-		N:     core.DeriveN(cfg.Spec.TransferRate, cfg.CR),
-		Alpha: cfg.Alpha,
-	}
-	if err := sys.params.Validate(); err != nil {
-		return nil, err
-	}
-	sys.staticSize = sys.params.StaticSize(cfg.Method.WorstDL(cfg.Spec, sys.params.N), sys.params.N)
-	if cfg.SizeTable != nil {
-		if cfg.SizeTable.Params() != sys.params {
-			return nil, fmt.Errorf("engine: shared sizing table built for %+v, config derives %+v",
-				cfg.SizeTable.Params(), sys.params)
+	// widest is the largest full-load buffer any stream may ever be
+	// allocated, BS(N) exactly in the uniform regime.
+	var widest si.Bits
+	shared := cfg.SizeTable // sizes the base rate only
+	for _, r := range append([]si.BitRate{cfg.CR}, cfg.Rates...) {
+		if sys.ctxFor(r) != nil {
+			continue
 		}
-		// The parameters don't capture the latency model; probe the
-		// full-load boundary, which every correctly built table pins to
-		// the method's worst disk latency at N.
-		if got := cfg.SizeTable.Size(sys.params.N, 0); got != sys.staticSize {
-			return nil, fmt.Errorf("engine: shared sizing table full-load size %v, method/spec derive %v",
-				got, sys.staticSize)
+		c, err := sys.newRateCtx(r, shared)
+		if err != nil {
+			return nil, err
 		}
-		sys.table = cfg.SizeTable
-	} else {
-		sys.table = core.NewTable(sys.params, cfg.Method.DLModel(cfg.Spec))
-	}
-	// Normalize the per-stream rate set: duplicates and rates equal to
-	// the base CR collapse away. An empty normalized set is the paper's
-	// single-rate regime — uniform mode, where streams carry no rate
-	// context and run exactly the legacy code paths.
-	var extra []si.BitRate
-	for _, r := range cfg.Rates {
-		dup := r == cfg.CR
-		for _, e := range extra {
-			dup = dup || e == r
-		}
-		if !dup {
-			extra = append(extra, r)
-		}
-	}
-	sys.admitCap, sys.bwCap = sys.params.N, cfg.Spec.TransferRate
-	if len(extra) > 0 {
-		sys.multi = make(map[si.BitRate]*rateCtx, len(extra)+1)
-		base := &rateCtx{rate: cfg.CR, params: sys.params, table: sys.table, staticSize: sys.staticSize}
-		sys.multi[cfg.CR] = base
-		sys.ctxs = append(sys.ctxs, base)
-		sys.planCtx = base
-		minRate := cfg.CR
-		for _, r := range extra {
-			p := core.Params{
-				TR:    cfg.Spec.TransferRate,
-				CR:    r,
-				N:     core.DeriveN(cfg.Spec.TransferRate, r),
-				Alpha: cfg.Alpha,
-			}
-			if err := p.Validate(); err != nil {
-				return nil, fmt.Errorf("engine: rate %v: %w", r, err)
-			}
-			c := &rateCtx{
-				idx:        len(sys.ctxs),
-				rate:       r,
-				params:     p,
-				table:      core.NewTable(p, cfg.Method.DLModel(cfg.Spec)),
-				staticSize: p.StaticSize(cfg.Method.WorstDL(cfg.Spec, p.N), p.N),
-			}
-			sys.multi[r] = c
-			sys.ctxs = append(sys.ctxs, c)
-			if c.staticSize > sys.planCtx.staticSize {
-				sys.planCtx = c
-			}
-			if r < minRate {
-				minRate = r
-			}
-		}
+		shared = nil
+		sys.ctxs = append(sys.ctxs, c)
+		widest = maxBits(widest, c.staticSize)
 		// The smallest rate admits the most concurrent streams; its N is
 		// the count any sizing table can back.
-		sys.admitCap = core.DeriveN(cfg.Spec.TransferRate, minRate)
+		sys.admitCap = max(sys.admitCap, c.params.N)
 	}
+	sys.params = sys.ctxs[0].params
 	if cfg.Adapt != nil {
-		if sys.multi == nil {
+		if len(sys.ctxs) == 1 {
 			return nil, fmt.Errorf("engine: Adapt requires a multi-rate ladder (Config.Rates); a uniform-rate system has no rungs to switch across")
 		}
 		a, err := cfg.Adapt.withDefaults()
@@ -377,9 +314,9 @@ func New(cfg Config) (*System, error) {
 	// A chunked library must be able to serve the largest buffer the
 	// server will ever allocate from a single chunk. Contiguous
 	// placements impose no bound: fills are clamped inside the video.
-	if maxRead := cfg.Library.ChunkedMaxRead(); maxRead < sys.planStatic() {
+	if maxRead := cfg.Library.ChunkedMaxRead(); maxRead < widest {
 		return nil, fmt.Errorf("engine: library chunked max read %v below the largest buffer %v — rebuild the library with a larger MaxRead",
-			maxRead, sys.planStatic())
+			maxRead, widest)
 	}
 	for d := 0; d < cfg.Library.Disks(); d++ {
 		sys.disks = append(sys.disks, newDisk(sys, d))
@@ -387,23 +324,70 @@ func New(cfg Config) (*System, error) {
 	return sys, nil
 }
 
-// planStatic is the largest full-load buffer any stream may ever be
-// allocated — the conservative bound layout checks and static planning
-// use. In uniform mode it is BS(N) exactly.
-func (sys *System) planStatic() si.Bits {
-	if sys.multi != nil {
-		return sys.planCtx.staticSize
+// newRateCtx derives the sizing context of one stream rate. shared, when
+// non-nil, is a caller-supplied Theorem 1 table (Config.SizeTable) used in
+// place of building one, after checking it was built for this rate.
+func (sys *System) newRateCtx(rate si.BitRate, shared *core.Table) (*rateCtx, error) {
+	cfg := &sys.cfg
+	if rate <= 0 || rate >= cfg.Spec.TransferRate {
+		return nil, fmt.Errorf("engine: stream rate %v outside (0, TR=%v)", rate, cfg.Spec.TransferRate)
 	}
-	return sys.staticSize
+	p := core.Params{
+		TR:    cfg.Spec.TransferRate,
+		CR:    rate,
+		N:     core.DeriveN(cfg.Spec.TransferRate, rate),
+		Alpha: cfg.Alpha,
+	}
+	if err := p.Validate(); err != nil {
+		return nil, fmt.Errorf("engine: rate %v: %w", rate, err)
+	}
+	c := &rateCtx{
+		idx:        len(sys.ctxs),
+		rate:       rate,
+		params:     p,
+		staticSize: p.StaticSize(cfg.Method.WorstDL(cfg.Spec, p.N), p.N),
+	}
+	if shared == nil {
+		shared = core.NewTable(p, cfg.Method.DLModel(cfg.Spec))
+	} else if shared.Params() != p {
+		return nil, fmt.Errorf("engine: shared sizing table built for %+v, config derives %+v",
+			shared.Params(), p)
+	} else if got := shared.Size(p.N, 0); got != c.staticSize {
+		// The parameters don't capture the latency model; probe the
+		// full-load boundary, which every correctly built table pins to
+		// the method's worst disk latency at N.
+		return nil, fmt.Errorf("engine: shared sizing table full-load size %v, method/spec derive %v",
+			got, c.staticSize)
+	}
+	c.table = shared
+	return c, nil
 }
 
-// ctxFor returns the sizing context for a stream rate, or nil in uniform
-// mode (where every stream runs at CR on the legacy single-rate fields).
+// ctxFor returns the sizing context for a stream rate, or nil when the
+// system was not configured to serve it. The contexts are a handful — a
+// ladder's rungs — so a scan beats a map.
 func (sys *System) ctxFor(rate si.BitRate) *rateCtx {
-	if sys.multi == nil {
-		return nil
+	for _, c := range sys.ctxs {
+		if c.rate == rate {
+			return c
+		}
 	}
-	return sys.multi[rate]
+	return nil
+}
+
+// lazySize is the sizing function behind each table built on first use.
+var lazySize = [theorem1]func(core.Params, si.Seconds, int, int) si.Bits{
+	eq5: core.Params.NaiveSize, dybase: core.Params.DybaseSize,
+}
+
+// lazyTable returns c's table for a comparison scheme's formula (eq5 or
+// dybase), building it on first use.
+func (sys *System) lazyTable(c *rateCtx, f formula) *core.Table {
+	l := &c.lazy[f]
+	l.once.Do(func() {
+		l.tab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), lazySize[f])
+	})
+	return l.tab
 }
 
 // AdmitCap reports the committed-stream count capacity of each disk.
@@ -430,14 +414,14 @@ func (sys *System) AttachObserver(o Observer) {
 // Clock returns the system's clock domain.
 func (sys *System) Clock() ClockDomain { return sys.domain }
 
-// Params returns the sizing parameters (TR, CR, N, alpha).
+// Params returns the base rate's sizing parameters (TR, CR, N, alpha).
 func (sys *System) Params() core.Params { return sys.params }
 
-// StaticSize returns the full-load buffer size BS(N).
-func (sys *System) StaticSize() si.Bits { return sys.staticSize }
+// StaticSize returns the base rate's full-load buffer size BS(N).
+func (sys *System) StaticSize() si.Bits { return sys.ctxs[0].staticSize }
 
-// Table returns the precomputed dynamic sizing table.
-func (sys *System) Table() *core.Table { return sys.table }
+// Table returns the base rate's precomputed dynamic sizing table.
+func (sys *System) Table() *core.Table { return sys.ctxs[0].table }
 
 // Disks reports the number of disks.
 func (sys *System) Disks() int { return len(sys.disks) }
@@ -450,49 +434,4 @@ func (sys *System) Disk(i int) *Disk { return sys.disks[i] }
 // gate, else queue for admission and dispatch.
 func (sys *System) OnArrival(req workload.Request) {
 	sys.disks[req.Disk].onArrival(req)
-}
-
-// sizeFor returns the dynamic buffer size for a disk at load (n, k).
-// The receiver disk is unused today (all disks share one table) but
-// keeps the call sites ready for per-disk heterogeneity.
-func (sys *System) sizeFor(_ *Disk, n, k int) si.Bits { return sys.table.Size(n, k) }
-
-// naiveSizeFor evaluates the naive scheme's Eq. 5 at n+k with the
-// method's current-load disk latency, memoized per (n, k) on first use.
-// The build is guarded by a Once because disks on different shards of a
-// multi-shard clock domain race to trigger it.
-func (sys *System) naiveSizeFor(n, k int) si.Bits {
-	sys.naiveOnce.Do(func() {
-		sys.naiveTab = core.NewTableWith(sys.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.NaiveSize)
-	})
-	return sys.naiveTab.Size(n, k)
-}
-
-// dybaseSizeFor evaluates the DYBASE recurrence at (n, k) with the
-// method's current-load disk latency. The recurrence chain is walked
-// once per (n, k) — the table memoizes it, as §3.3 prescribes for the
-// dynamic scheme — instead of on every fill.
-func (sys *System) dybaseSizeFor(n, k int) si.Bits {
-	sys.dybaseOnce.Do(func() {
-		sys.dybaseTab = core.NewTableWith(sys.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.DybaseSize)
-	})
-	return sys.dybaseTab.Size(n, k)
-}
-
-// naiveTabFor memoizes a rate context's Eq. 5 table, the per-rate analog
-// of naiveSizeFor.
-func (sys *System) naiveTabFor(c *rateCtx) *core.Table {
-	c.naiveOnce.Do(func() {
-		c.naiveTab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.NaiveSize)
-	})
-	return c.naiveTab
-}
-
-// dybaseTabFor memoizes a rate context's DYBASE table, the per-rate
-// analog of dybaseSizeFor.
-func (sys *System) dybaseTabFor(c *rateCtx) *core.Table {
-	c.dybaseOnce.Do(func() {
-		c.dybaseTab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.DybaseSize)
-	})
-	return c.dybaseTab
 }

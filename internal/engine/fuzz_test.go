@@ -13,7 +13,8 @@ import (
 // admitAuditor checks, synchronously at every rejection, that the engine
 // only turns an arrival away when no rung of its title's ladder fits —
 // i.e. a rejection under downgrading admission really means the disk was
-// saturated for every rate the sizing tables could back.
+// saturated for every rate the sizing tables could back — or, with
+// RejectRate, when the requested rate has no sizing context at all.
 type admitAuditor struct {
 	NopObserver
 	t     *testing.T
@@ -23,6 +24,19 @@ type admitAuditor struct {
 }
 
 func (a *admitAuditor) OnReject(disk int, req workload.Request, reason RejectReason, now si.Seconds) {
+	want := req.Rate
+	if want <= 0 {
+		want = a.sys.cfg.CR
+	}
+	if reason == RejectRate {
+		if a.sys.ctxFor(want) != nil {
+			a.t.Errorf("request %d rejected for its rate %v, which the system sizes", req.ID, want)
+		}
+		return
+	}
+	if a.sys.ctxFor(want) == nil {
+		a.t.Errorf("request %d at unsized rate %v rejected with reason %d, want RejectRate", req.ID, want, reason)
+	}
 	if reason != RejectCapacity {
 		return
 	}
@@ -30,15 +44,11 @@ func (a *admitAuditor) OnReject(disk int, req workload.Request, reason RejectRea
 	if d.Committed() >= a.sys.AdmitCap() {
 		return // the count capacity alone justifies the rejection
 	}
-	want := req.Rate
-	if want <= 0 {
-		want = a.sys.cfg.CR
-	}
 	for _, rung := range a.lib.Video(req.Video).Rungs() {
 		if rung > want {
 			continue // downgrading never steps a viewer up
 		}
-		if a.sys.multi != nil && a.sys.ctxFor(rung) == nil {
+		if a.sys.ctxFor(rung) == nil {
 			continue // no sizing tables for this rung
 		}
 		if !a.sys.cfg.Downgrade && rung != want {
@@ -66,6 +76,10 @@ func FuzzLadderAdmit(f *testing.F) {
 	f.Add(uint8(3), true, true, []byte{5, 200, 99, 10, 3, 255, 77, 31, 150, 64})
 	f.Add(uint8(1), false, true, []byte{255, 255, 0, 0, 128, 17})
 	f.Add(uint8(4), true, false, []byte{})
+	// One rung: the uniform regime, on the same path as every ladder.
+	f.Add(uint8(0), false, false, []byte{3, 200, 1, 90, 2, 255, 0, 40, 5, 10, 1, 77})
+	// Arrivals stamped with a rate off the ladder (b1%16 == 14).
+	f.Add(uint8(2), false, true, []byte{60, 2, 14, 100, 50, 3, 30, 80, 9, 46, 46, 120})
 	f.Fuzz(func(t *testing.T, rungsRaw uint8, knee, downgrade bool, data []byte) {
 		spec := diskmodel.Barracuda9LP()
 		// Ladder shape from the fuzz input: 1-4 strictly descending rungs
@@ -144,7 +158,11 @@ func FuzzLadderAdmit(f *testing.F) {
 				Disk:    0,
 				Viewing: si.Seconds(10 + int(b2)),
 			}
-			if b1%16 != 15 { // leave some requests on the legacy Rate==0 path
+			switch b1 % 16 {
+			case 15: // leave some requests on the Rate==0 (= CR) path
+			case 14: // and stamp some with a rate no rung or context has
+				req.Rate = si.Mbps(0.333)
+			default:
 				req.Rate = ladder[int(b1/4)%len(ladder)]
 			}
 			sys.OnArrival(req)

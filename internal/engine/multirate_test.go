@@ -3,44 +3,17 @@ package engine
 import (
 	"testing"
 
-	"repro/internal/catalog"
-	"repro/internal/diskmodel"
-	"repro/internal/sched"
 	"repro/internal/si"
 	"repro/internal/workload"
 )
 
-// multiRateDisk builds a system on a three-rung ladder and fills its one
-// disk with streams at every rung, leaving it mid-day with a mixed-rate
-// in-service population.
-func multiRateDisk(t *testing.T) *Disk {
+// loadedDisk builds a system on ladder and fills its one disk with
+// streams at every rung in turn, leaving it mid-day with streams of every
+// rung in service — a mixed-rate population on a three-rung ladder, the
+// paper's uniform one on a single rung. tweak is ladderSystem's.
+func loadedDisk(t *testing.T, ladder []si.BitRate, tweak func(*Config)) *Disk {
 	t.Helper()
-	ladder := []si.BitRate{si.Mbps(1.5), si.Mbps(1.0), si.Mbps(0.5)}
-	lib, err := catalog.New(catalog.Config{
-		Titles: 6, Disks: 1, Spec: diskmodel.Barracuda9LP(), PopularityTheta: 0.271,
-		Video: func(id int) catalog.Video {
-			v := catalog.MPEG1Video(id)
-			v.Ladder = ladder
-			return v
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := New(Config{
-		Clock:     NewVirtualClock(),
-		Allocator: DynamicAllocator{},
-		Method:    sched.NewMethod(sched.RoundRobin),
-		Spec:      diskmodel.Barracuda9LP(),
-		CR:        ladder[0],
-		Rates:     ladder,
-		Alpha:     1,
-		TLog:      si.Minutes(40),
-		Library:   lib,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sys := ladderSystem(t, DynamicAllocator{}, ladder, tweak)
 	vc := sys.Clock().(*VirtualClock)
 	for i := 0; i < 24; i++ {
 		vc.Run(si.Seconds(i * 2))
@@ -52,44 +25,53 @@ func multiRateDisk(t *testing.T) *Disk {
 	vc.Run(si.Seconds(120))
 	d := sys.Disk(0)
 	if d.InService() < 12 {
-		t.Fatalf("only %d streams in service, want a loaded mixed-rate disk", d.InService())
+		t.Fatalf("only %d streams in service, want a loaded disk", d.InService())
 	}
 	return d
 }
 
-// The rate-aware planning path runs on every fill of every stream: the
-// per-scheme PlanSize bound over the rates actually in service must stay
-// allocation-free at steady state, closures included.
+// ladders are the two regimes of the one sizing path.
+var ladders = map[string][]si.BitRate{
+	"uniform": {si.Mbps(1.5)},
+	"ladder":  {si.Mbps(1.5), si.Mbps(1.0), si.Mbps(0.5)},
+}
+
+// The planning path runs on every fill of every stream: the per-scheme
+// PlanSize bound over the rates actually in service must stay
+// allocation-free at steady state, on one rate and on several.
 func TestMultiRatePlanSizeAllocFree(t *testing.T) {
-	d := multiRateDisk(t)
-	n := d.InService()
-	allocators := []Allocator{
-		StaticAllocator{}, DynamicAllocator{}, NaiveAllocator{}, DybaseAllocator{},
-	}
-	for _, a := range allocators {
-		a.PlanSize(d, n) // warm the lazily memoized per-rate tables
-	}
-	for _, a := range allocators {
-		allocs := testing.AllocsPerRun(1000, func() {
-			_ = a.PlanSize(d, n)
-		})
-		if allocs != 0 {
-			t.Errorf("%T.PlanSize allocates %v objects/op on the multi-rate path, want 0", a, allocs)
+	for name, ladder := range ladders {
+		d := loadedDisk(t, ladder, nil)
+		n := d.InService()
+		allocators := []Allocator{
+			StaticAllocator{}, DynamicAllocator{}, NaiveAllocator{}, DybaseAllocator{},
+		}
+		for _, a := range allocators {
+			a.PlanSize(d, n) // warm the lazily built per-rate tables
+		}
+		for _, a := range allocators {
+			allocs := testing.AllocsPerRun(1000, func() {
+				_ = a.PlanSize(d, n)
+			})
+			if allocs != 0 {
+				t.Errorf("%s: %T.PlanSize allocates %v objects/op, want 0", name, a, allocs)
+			}
 		}
 	}
 }
 
-// The multi-rate admission test — count cap, bandwidth cap, ladder
-// walk — also runs per arrival and must not allocate.
+// The admission test — sizing-context lookup, count cap, bandwidth cap —
+// also runs per arrival and must not allocate.
 func TestMultiRateFitsRateAllocFree(t *testing.T) {
-	d := multiRateDisk(t)
-	rates := []si.BitRate{si.Mbps(1.5), si.Mbps(1.0), si.Mbps(0.5)}
-	allocs := testing.AllocsPerRun(1000, func() {
-		for _, r := range rates {
-			_ = d.fitsRate(r)
+	for name, ladder := range ladders {
+		d := loadedDisk(t, ladder, nil)
+		allocs := testing.AllocsPerRun(1000, func() {
+			for _, r := range ladder {
+				_ = d.sys.ctxFor(r) != nil && d.fitsRate(r)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: the arrival-time rate checks allocate %v objects/op, want 0", name, allocs)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("fitsRate allocates %v objects/op, want 0", allocs)
 	}
 }

@@ -14,6 +14,10 @@ const (
 	// RejectMemory means the admission Gate (e.g. the capacity
 	// experiments' shared-memory governor) refused the reservation.
 	RejectMemory
+	// RejectRate means the request asked for a consumption rate the
+	// system has no sizing context for (neither CR nor in Config.Rates),
+	// so no buffer could be sized for it.
+	RejectRate
 )
 
 // Observer receives the engine's instrumentation callbacks. Both drivers —

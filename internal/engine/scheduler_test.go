@@ -35,24 +35,36 @@ func harness(t *testing.T, kind sched.Kind, alloc Allocator) *Disk {
 	return sys.Disk(0)
 }
 
-// addStream admits a synthetic stream directly, maintaining the same
-// per-disk indexes (slot, fresh FIFO) real admission would.
+// bookStream puts st in service on d at c's rate — the stream's context,
+// rates and slot, the disk's bandwidth books and live-rate counter — as
+// real admission would. Every hand-built stream that reaches the
+// allocator goes through it.
+func bookStream(d *Disk, st *Stream, c *rateCtx) {
+	st.disk, st.ctx, st.rate, st.want, st.booked = d, c, c.rate, c.rate, c.rate
+	st.slot, st.active = len(d.streams), true
+	d.streams = append(d.streams, st)
+	d.serviceRate += c.rate
+	d.committedRate += c.rate
+	d.rateLive[c.idx]++
+}
+
+// addStream admits a synthetic stream at the base rate directly,
+// maintaining the same per-disk indexes (fresh FIFO, pool, scheduler)
+// real admission would.
 func addStream(t *testing.T, d *Disk, id int, viewing si.Seconds) *Stream {
 	t.Helper()
 	d.admitSeq++
+	c := d.sys.ctxs[0]
 	st := &Stream{
-		disk:     d,
 		id:       id,
 		place:    d.sys.cfg.Library.Placement(id % d.sys.cfg.Library.Len()),
-		required: d.sys.cfg.CR.DataIn(viewing),
+		required: c.rate.DataIn(viewing),
 		deadline: d.now(),
-		slot:     len(d.streams),
 		admitSeq: d.admitSeq,
-		active:   true,
 	}
-	d.streams = append(d.streams, st)
+	bookStream(d, st, c)
 	d.fresh = append(d.fresh, st)
-	d.pool.Attach(st.id, d.sys.cfg.CR, d.now())
+	d.pool.Attach(st.id, c.rate, d.now())
 	d.sched.Admit(st)
 	return st
 }
@@ -99,7 +111,7 @@ func TestRRSchedulerUrgentRefillBeatsFresh(t *testing.T) {
 func TestRRSchedulerLazyWakeTime(t *testing.T) {
 	d := harness(t, sched.RoundRobin, StaticAllocator{})
 	st := addStream(t, d, 1, si.Minutes(60))
-	d.pool.BeginFill(st.id, d.sys.staticSize, 0)
+	d.pool.BeginFill(st.id, d.sys.StaticSize(), 0)
 	d.pool.CompleteFill(st.id, 0)
 	markStarted(d, st, d.pool.EmptyAt(st.id))
 	next, start := d.sched.Next(0)

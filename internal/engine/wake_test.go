@@ -370,7 +370,7 @@ func TestStallRetryRemembersNothing(t *testing.T) {
 	d := sys.Disk(0)
 	// Room for two static buffers less a tenth: the second stream's first
 	// fill is refused until the first stream has drained that tenth.
-	d.pool = buffer.NewPool(2*sys.staticSize - sys.staticSize/10)
+	d.pool = buffer.NewPool(2*sys.StaticSize() - sys.StaticSize()/10)
 	sys.OnArrival(workload.Request{ID: 1, Video: 0, Viewing: si.Minutes(5)})
 	clock.Run(1)
 	sys.OnArrival(workload.Request{ID: 2, Arrival: 1, Video: 1, Viewing: si.Minutes(5)})

@@ -36,16 +36,6 @@ type Options struct {
 	// BaseSeed offsets all random seeds, for sensitivity checks.
 	BaseSeed int64
 
-	// UniformLadder threads the multi-rate plumbing through the
-	// simulation-backed single-disk runners while staying semantically in
-	// the single-rate regime: every title carries a one-rung bitrate
-	// ladder at the paper's 1.5 Mbps, every generated request is stamped
-	// with its title's rate, and the engine is handed Rates = [CR]. The
-	// engine normalizes that to the exact single-rate code paths, so
-	// reports must be byte-identical with and without the knob — the
-	// ladder oracle test pins this against the committed goldens.
-	UniformLadder bool
-
 	// Workers bounds how many simulation runs execute concurrently; zero
 	// or negative means GOMAXPROCS. Per-run seeds derive from the run's
 	// grid position (see MixSeed), and aggregation is positional, so

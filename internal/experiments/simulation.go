@@ -28,39 +28,6 @@ func singleDisk() (*catalog.Library, error) {
 	})
 }
 
-// singleDiskUniformLadder is singleDisk with every title decorated with a
-// one-rung bitrate ladder at its own rate — the Options.UniformLadder
-// catalog. Semantically identical to singleDisk; the ladder merely routes
-// construction through the catalog's ladder validation.
-func singleDiskUniformLadder() (*catalog.Library, error) {
-	return sharedLibrary(catalog.Config{
-		Titles:          6,
-		Disks:           1,
-		Spec:            PaperEnv().Spec,
-		PopularityTheta: 0.271,
-		Video: func(id int) catalog.Video {
-			v := catalog.MPEG1Video(id)
-			v.Ladder = []si.BitRate{v.Rate}
-			return v
-		},
-	})
-}
-
-// applyUniformLadder threads the UniformLadder regime through one run's
-// config: the engine receives the (single-entry) rate set and every
-// request carries its title's rate explicitly instead of the implicit
-// CR. The engine normalizes Rates = [CR] back to the single-rate code
-// paths, so results stay byte-identical — the oracle test's claim.
-func (o Options) applyUniformLadder(cfg *sim.Config) {
-	if !o.UniformLadder {
-		return
-	}
-	cfg.Rates = []si.BitRate{cfg.CR}
-	for i, r := range cfg.Trace.Requests {
-		cfg.Trace.Requests[i].Rate = cfg.Library.Video(r.Video).Rate
-	}
-}
-
 // dayTrace generates one day of arrivals whose rate follows the Zipf
 // time-of-day profile with the given theta, peaking at nine hours.
 func dayTrace(lib *catalog.Library, theta float64, total float64, seed int64, quick bool) workload.Trace {
@@ -148,9 +115,6 @@ func estimationSweep(opt Options, id, title, xlabel string,
 	points []float64, configure func(*sim.Config, float64, sched.Kind)) (*Report, error) {
 	opt = opt.normalized()
 	lib, err := singleDisk()
-	if opt.UniformLadder {
-		lib, err = singleDiskUniformLadder()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -162,7 +126,6 @@ func estimationSweep(opt Options, id, title, xlabel string,
 		m := sched.NewMethod(kind)
 		tr := dayTrace(lib, 0.5, singleDiskArrivalsPerDay, opt.runSeed(0, rep, seedTrace), opt.Quick)
 		cfg := simConfig(sim.Dynamic, m, lib, tr, opt.runSeed(0, rep, seedSim))
-		opt.applyUniformLadder(&cfg)
 		configure(&cfg, x, kind)
 		res, err := runSim(cfg)
 		if err != nil {

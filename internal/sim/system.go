@@ -41,7 +41,8 @@ type Config struct {
 
 	// Rates lists additional per-stream consumption rates the run may
 	// carry (the catalog's ladder rungs, for multi-rate workloads).
-	// Empty keeps the paper's single-rate regime; see engine.Config.Rates.
+	// Empty is the paper's single-rate regime, in which a request at any
+	// rate but CR is rejected; see engine.Config.Rates.
 	Rates []si.BitRate
 
 	// Downgrade enables downgrading admission: an arrival that does not

@@ -455,7 +455,8 @@ type NopObserver = engine.NopObserver
 type ObserverList = engine.Observers
 
 // RejectReason says why the engine turned an arrival away: disk
-// capacity (n = N, Eq. 1) or the memory budget.
+// capacity (n = N, Eq. 1), the memory budget, or a stream rate the
+// engine was not configured to size.
 type RejectReason = engine.RejectReason
 
 // Engine is the shared streaming runtime: per-disk service loops,

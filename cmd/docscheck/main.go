@@ -1,16 +1,22 @@
 // Command docscheck is the repository's documentation gate (`make
-// docs-check`). It enforces two invariants CI can hold without network
+// docs-check`). It enforces three invariants CI can hold without network
 // access:
 //
 //   - every relative link in the maintained markdown files resolves to
 //     a file or directory in the tree (external http(s) links and pure
 //     in-page #fragments are not followed);
+//   - every repository path they cite in backticks (internal/…, cmd/…,
+//     examples/…, results/…, benchmark/…) exists, so a deleted file or
+//     package cannot stay cited;
 //   - README.md's architecture inventory names every package under
-//     internal/ and cmd/ — a new package cannot land undocumented.
+//     internal/, cmd/ and examples/ — a new package cannot land
+//     undocumented.
 //
 // The retrieved source artifacts (PAPER.md, PAPERS.md, SNIPPETS.md,
 // ISSUE.md) are excluded: they are inputs to the project, not
 // documentation of it, and carry extraction debris no one maintains.
+// The path rule also skips ROADMAP.md and CHANGES.md, whose plans and
+// history name files that do not exist yet or no longer do.
 package main
 
 import (
@@ -31,6 +37,16 @@ var skippedDocs = map[string]bool{
 	"ISSUE.md":    true,
 }
 
+// historyDocs are markdown files the path gate also ignores.
+var historyDocs = map[string]bool{"ROADMAP.md": true, "CHANGES.md": true}
+
+// pathRE matches a code span holding one repository path, with an
+// optional leading "./" and an optional trailing Go symbol suffix, which
+// is not captured: `cmd/vodsim/main.go`, `internal/serve.Config.Seed`.
+// A glob or a placeholder (`cmd/*`, `internal/…`) is not a path and
+// does not match.
+var pathRE = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples|results|benchmark)/[^`\\s*…]*?)(?:\\.[A-Z]\\w*)*`")
+
 // linkRE matches inline markdown links and images: [text](target) and
 // ![alt](target). Good enough for the prose style these docs use; code
 // spans that happen to contain the pattern would have to look exactly
@@ -44,7 +60,7 @@ func main() {
 // run checks the tree rooted at root and reports problems to w,
 // returning 0 when the docs are clean and 1 otherwise.
 func run(root string, w io.Writer) int {
-	problems := checkLinks(root)
+	problems := checkDocs(root)
 	problems = append(problems, checkInventory(root)...)
 	for _, p := range problems {
 		fmt.Fprintln(w, p)
@@ -57,9 +73,9 @@ func run(root string, w io.Writer) int {
 	return 0
 }
 
-// checkLinks resolves every relative link in the maintained markdown
-// files against the tree.
-func checkLinks(root string) []string {
+// checkDocs resolves every relative link and every backticked
+// repository path in the maintained markdown files against the tree.
+func checkDocs(root string) []string {
 	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -79,6 +95,10 @@ func checkLinks(root string) []string {
 		if err != nil {
 			return err
 		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			rel = path
+		}
 		for _, m := range linkRE.FindAllStringSubmatch(string(data), -1) {
 			target := m[1]
 			if strings.Contains(target, "://") || strings.HasPrefix(target, "mailto:") {
@@ -90,11 +110,17 @@ func checkLinks(root string) []string {
 			target, _, _ = strings.Cut(target, "#")
 			resolved := filepath.Join(filepath.Dir(path), target)
 			if _, err := os.Stat(resolved); err != nil {
-				rel, rerr := filepath.Rel(root, path)
-				if rerr != nil {
-					rel = path
-				}
 				problems = append(problems, fmt.Sprintf("%s: broken link %q", rel, m[1]))
+			}
+		}
+		if historyDocs[name] {
+			return nil
+		}
+		for i, line := range strings.Split(string(data), "\n") {
+			for _, m := range pathRE.FindAllStringSubmatch(line, -1) {
+				if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+					problems = append(problems, fmt.Sprintf("%s:%d: missing path %s", rel, i+1, m[0]))
+				}
 			}
 		}
 		return nil
@@ -106,8 +132,8 @@ func checkLinks(root string) []string {
 }
 
 // checkInventory verifies README.md mentions every package directory
-// under internal/ and cmd/, in either spelled-out ("internal/engine")
-// or architecture-tree ("engine/") form.
+// under internal/, cmd/ and examples/, in either spelled-out
+// ("internal/engine") or architecture-tree ("engine/") form.
 func checkInventory(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
@@ -115,7 +141,7 @@ func checkInventory(root string) []string {
 	}
 	readme := string(data)
 	var problems []string
-	for _, tree := range []string{"internal", "cmd"} {
+	for _, tree := range []string{"internal", "cmd", "examples"} {
 		entries, err := os.ReadDir(filepath.Join(root, tree))
 		if err != nil {
 			if os.IsNotExist(err) {

@@ -103,3 +103,79 @@ func TestRetrievedArtifactsSkipped(t *testing.T) {
 		t.Errorf("retrieved artifact failed the gate:\n%s", out.String())
 	}
 }
+
+// A backticked repository path must exist; a deleted file or package
+// stays cited otherwise.
+func TestMissingBacktickedPathFails(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "internal/engine/ lives in `internal/engine` (`./internal/engine/engine.go`), not `cmd/*` or `internal/…`\n")
+	write(t, dir, "internal/engine/engine.go", "package engine\n")
+	write(t, dir, "DESIGN.md", "intro\nsee `examples/streaming` and `results/full.txt`\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with missing backticked paths, want 1", code)
+	}
+	for _, want := range []string{"DESIGN.md:2: missing path `examples/streaming`", "DESIGN.md:2: missing path `results/full.txt`"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("problems lack %q:\n%s", want, out.String())
+		}
+	}
+	if strings.Contains(out.String(), "README.md") {
+		t.Errorf("existing paths reported missing:\n%s", out.String())
+	}
+}
+
+// A trailing Go symbol suffix is stripped before the path is checked,
+// so it neither hides a missing package nor flags a present one.
+func TestSymbolSuffixStripped(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "internal/serve/ sets `internal/serve.Config.Seed`; `internal/gone.Config.Seed` is stale\n")
+	write(t, dir, "internal/serve/serve.go", "package serve\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with a symbol in a missing package, want 1", code)
+	}
+	if !strings.Contains(out.String(), "missing path `internal/gone.Config.Seed`") {
+		t.Errorf("symbol in a missing package not reported:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "internal/serve.Config.Seed") {
+		t.Errorf("symbol in an existing package reported missing:\n%s", out.String())
+	}
+}
+
+// ROADMAP.md and CHANGES.md record plans and history, which cite paths
+// that do not exist yet or no longer do; their links are still checked.
+func TestHistoryDocsSkipPathRule(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "clean\n")
+	write(t, dir, "ROADMAP.md", "add `internal/future`\n")
+	write(t, dir, "CHANGES.md", "deleted `examples/streaming`, see [old](GONE.md)\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with a broken link in CHANGES.md, want 1", code)
+	}
+	if !strings.Contains(out.String(), `CHANGES.md: broken link "GONE.md"`) {
+		t.Errorf("broken link in a history doc not reported:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "missing path") {
+		t.Errorf("history doc checked by the path rule:\n%s", out.String())
+	}
+}
+
+// The inventory covers examples/ as well as internal/ and cmd/.
+func TestMissingExampleFails(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "examples/quickstart is documented\n")
+	write(t, dir, "examples/quickstart/main.go", "package main\n")
+	write(t, dir, "examples/orphan/main.go", "package main\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with an undocumented example, want 1", code)
+	}
+	if !strings.Contains(out.String(), "package examples/orphan missing") {
+		t.Errorf("problem does not name the orphan example:\n%s", out.String())
+	}
+	if strings.Contains(out.String(), "examples/quickstart missing") {
+		t.Errorf("documented example reported missing:\n%s", out.String())
+	}
+}

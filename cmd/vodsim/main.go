@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 
@@ -23,35 +24,45 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, simulates, and returns
+// the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vodsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		schemeFlag = flag.String("scheme", "dynamic", "allocation scheme: static, dynamic, naive")
-		methodFlag = flag.String("method", "rr", "scheduling method: rr, sweep, gss")
-		arrivals   = flag.Float64("arrivals", 2500, "expected arrivals over the horizon")
-		theta      = flag.Float64("theta", 0.5, "arrival-pattern Zipf parameter (0 skewed .. 1 uniform)")
-		hours      = flag.Float64("hours", 24, "simulated horizon in hours")
-		disks      = flag.Int("disks", 1, "number of disks")
-		memoryGB   = flag.Float64("memory", 0, "total memory budget in GB (0 = unlimited)")
-		tlog       = flag.Float64("tlog", 0, "estimation window T_log in minutes (0 = paper default)")
-		alpha      = flag.Int("alpha", 1, "inertia slack alpha")
-		seed       = flag.Int64("seed", 1, "random seed (base seed when -reps > 1)")
-		reps       = flag.Int("reps", 1, "independent replications to run and summarize")
-		workers    = flag.Int("workers", runtime.NumCPU(), "max parallel simulation runs (<=0 uses GOMAXPROCS)")
+		schemeFlag = fs.String("scheme", "dynamic", "allocation scheme: static, dynamic, naive")
+		methodFlag = fs.String("method", "rr", "scheduling method: rr, sweep, gss")
+		arrivals   = fs.Float64("arrivals", 2500, "expected arrivals over the horizon")
+		theta      = fs.Float64("theta", 0.5, "arrival-pattern Zipf parameter (0 skewed .. 1 uniform)")
+		hours      = fs.Float64("hours", 24, "simulated horizon in hours")
+		disks      = fs.Int("disks", 1, "number of disks")
+		memoryGB   = fs.Float64("memory", 0, "total memory budget in GB (0 = unlimited)")
+		tlog       = fs.Float64("tlog", 0, "estimation window T_log in minutes (0 = paper default)")
+		alpha      = fs.Int("alpha", 1, "inertia slack alpha")
+		seed       = fs.Int64("seed", 1, "random seed (base seed when -reps > 1)")
+		reps       = fs.Int("reps", 1, "independent replications to run and summarize")
+		workers    = fs.Int("workers", runtime.NumCPU(), "max parallel simulation runs (<=0 uses GOMAXPROCS)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	scheme, err := vod.ParseScheme(*schemeFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	kind, err := vod.ParseMethod(*methodFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 	if *reps < 1 {
-		fmt.Fprintln(os.Stderr, "-reps must be at least 1")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "-reps must be at least 1")
+		return 2
 	}
 
 	spec, cr, _ := vod.PaperEnvironment()
@@ -62,8 +73,8 @@ func main() {
 		PopularityTheta: 0.271,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	horizon := vod.Hours(*hours)
 	peak := vod.Hours(9)
@@ -101,52 +112,53 @@ func main() {
 
 	results, err := vod.SimulateReplications(build, *reps, *workers)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	fmt.Printf("scheme=%v method=%v disks=%d horizon=%v reps=%d\n",
+	fmt.Fprintf(stdout, "scheme=%v method=%v disks=%d horizon=%v reps=%d\n",
 		scheme, vod.NewMethod(kind), *disks, horizon, *reps)
 	if *reps == 1 {
-		printSingle(results[0])
-		return
+		printSingle(stdout, results[0])
+	} else {
+		printSummary(stdout, results)
 	}
-	printSummary(results)
+	return 0
 }
 
-func printSingle(res *vod.SimResult) {
-	fmt.Printf("served:               %d\n", res.Served)
-	fmt.Printf("rejected (capacity):  %d\n", res.Rejected)
-	fmt.Printf("rejected (memory):    %d\n", res.RejectedMemory)
-	fmt.Printf("admission deferrals:  %d\n", res.Deferrals)
-	fmt.Printf("max concurrent:       %d\n", res.MaxConcurrent)
+func printSingle(w io.Writer, res *vod.SimResult) {
+	fmt.Fprintf(w, "served:               %d\n", res.Served)
+	fmt.Fprintf(w, "rejected (capacity):  %d\n", res.Rejected)
+	fmt.Fprintf(w, "rejected (memory):    %d\n", res.RejectedMemory)
+	fmt.Fprintf(w, "admission deferrals:  %d\n", res.Deferrals)
+	fmt.Fprintf(w, "max concurrent:       %d\n", res.MaxConcurrent)
 	if gm, ok := res.LatencyByN.GrandMean(); ok {
-		fmt.Printf("avg initial latency:  %.4gs\n", gm)
+		fmt.Fprintf(w, "avg initial latency:  %.4gs\n", gm)
 	}
-	fmt.Printf("underruns:            %d (starved %v)\n", res.Underruns, res.Starved)
-	fmt.Printf("peak memory (actual): %v\n", res.PeakMemory)
+	fmt.Fprintf(w, "underruns:            %d (starved %v)\n", res.Underruns, res.Starved)
+	fmt.Fprintf(w, "peak memory (actual): %v\n", res.PeakMemory)
 	if res.Estimates > 0 {
-		fmt.Printf("estimation:           %.2f%% success, avg k %.2f over %d checks\n",
+		fmt.Fprintf(w, "estimation:           %.2f%% success, avg k %.2f over %d checks\n",
 			100*res.SuccessRate(), res.EstimatedK.Mean(), res.Estimates)
 	}
-	fmt.Printf("\n%-6s %14s %10s\n", "n", "avg latency", "requests")
+	fmt.Fprintf(w, "\n%-6s %14s %10s\n", "n", "avg latency", "requests")
 	for n := 0; n < res.LatencyByN.Levels(); n++ {
 		if mean, ok := res.LatencyByN.Mean(n); ok {
-			fmt.Printf("%-6d %13.4gs %10d\n", n, mean, res.LatencyByN.Count(n))
+			fmt.Fprintf(w, "%-6d %13.4gs %10d\n", n, mean, res.LatencyByN.Count(n))
 		}
 	}
 }
 
-func printSummary(results []*vod.SimResult) {
+func printSummary(w io.Writer, results []*vod.SimResult) {
 	metric := func(name string, get func(*vod.SimResult) float64) {
 		samples := make([]float64, len(results))
 		for i, r := range results {
 			samples[i] = get(r)
 		}
 		st := vod.SummarizeReplications(samples)
-		fmt.Printf("%-22s %12.6g %12.6g %12.6g\n", name, st.Mean, st.Std, st.CI95)
+		fmt.Fprintf(w, "%-22s %12.6g %12.6g %12.6g\n", name, st.Mean, st.Std, st.CI95)
 	}
-	fmt.Printf("%-22s %12s %12s %12s\n", "metric", "mean", "stddev", "ci95")
+	fmt.Fprintf(w, "%-22s %12s %12s %12s\n", "metric", "mean", "stddev", "ci95")
 	metric("served", func(r *vod.SimResult) float64 { return float64(r.Served) })
 	metric("rejected (capacity)", func(r *vod.SimResult) float64 { return float64(r.Rejected) })
 	metric("rejected (memory)", func(r *vod.SimResult) float64 { return float64(r.RejectedMemory) })

@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	vod "repro"
@@ -19,26 +20,40 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: it parses args, generates or
+// summarizes a trace, and returns the process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("vodtrace", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		arrivals = flag.Float64("arrivals", 2500, "expected arrivals over the horizon")
-		theta    = flag.Float64("theta", 0.5, "arrival-pattern Zipf parameter (0 skewed .. 1 uniform)")
-		hours    = flag.Float64("hours", 24, "horizon in hours")
-		disks    = flag.Int("disks", 1, "number of disks in the library")
-		seed     = flag.Int64("seed", 1, "random seed")
-		out      = flag.String("out", "", "write the generated trace to this file (default stdout)")
-		statsArg = flag.String("stats", "", "summarize an existing trace CSV instead of generating")
+		arrivals = fs.Float64("arrivals", 2500, "expected arrivals over the horizon")
+		theta    = fs.Float64("theta", 0.5, "arrival-pattern Zipf parameter (0 skewed .. 1 uniform)")
+		hours    = fs.Float64("hours", 24, "horizon in hours")
+		disks    = fs.Int("disks", 1, "number of disks in the library")
+		seed     = fs.Int64("seed", 1, "random seed")
+		out      = fs.String("out", "", "write the generated trace to this file (default stdout)")
+		statsArg = fs.String("stats", "", "summarize an existing trace CSV instead of generating")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
 
 	if *statsArg != "" {
 		f, err := os.Open(*statsArg)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		defer f.Close()
 		tr, err := workload.ReadCSV(f)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		maxDisk := 0
 		for _, r := range tr.Requests {
@@ -47,14 +62,14 @@ func main() {
 			}
 		}
 		st := tr.Summarize(maxDisk + 1)
-		fmt.Printf("requests:      %d\n", st.Requests)
-		fmt.Printf("horizon:       %v\n", st.Horizon)
-		fmt.Printf("peak rate:     %.4f arrivals/s (busiest 30-minute slot)\n", st.PeakRate)
-		fmt.Printf("mean viewing:  %v\n", st.MeanViewing)
+		fmt.Fprintf(stdout, "requests:      %d\n", st.Requests)
+		fmt.Fprintf(stdout, "horizon:       %v\n", st.Horizon)
+		fmt.Fprintf(stdout, "peak rate:     %.4f arrivals/s (busiest 30-minute slot)\n", st.PeakRate)
+		fmt.Fprintf(stdout, "mean viewing:  %v\n", st.MeanViewing)
 		for d, share := range st.PerDiskShare {
-			fmt.Printf("disk %d share:  %.1f%%\n", d, 100*share)
+			fmt.Fprintf(stdout, "disk %d share:  %.1f%%\n", d, 100*share)
 		}
-		return
+		return 0
 	}
 
 	spec, _, _ := vod.PaperEnvironment()
@@ -62,7 +77,7 @@ func main() {
 		Titles: 6 * *disks, Disks: *disks, Spec: spec, PopularityTheta: 0.271,
 	})
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	horizon := vod.Hours(*hours)
 	peak := vod.Hours(9)
@@ -71,24 +86,23 @@ func main() {
 	}
 	tr := vod.GenerateWorkload(vod.ZipfDaySchedule(*arrivals, *theta, peak, horizon), lib, *seed)
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+	if *out == "" {
+		if err := tr.WriteCSV(stdout); err != nil {
+			return fail(err)
 		}
-		defer f.Close()
-		w = f
+		return 0
 	}
-	if err := tr.WriteCSV(w); err != nil {
-		fatal(err)
+	f, err := os.Create(*out)
+	if err != nil {
+		return fail(err)
 	}
-	if *out != "" {
-		fmt.Fprintf(os.Stderr, "%d requests written to %s\n", len(tr.Requests), *out)
+	err = tr.WriteCSV(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	if err != nil {
+		return fail(err)
+	}
+	fmt.Fprintf(stderr, "%d requests written to %s\n", len(tr.Requests), *out)
+	return 0
 }

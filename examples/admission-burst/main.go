@@ -12,18 +12,27 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	vod "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run simulates the flash crowd under each scheme and prints the table to w.
+func run(w io.Writer) error {
 	spec, cr, _ := vod.PaperEnvironment()
 	lib, err := vod.NewLibrary(vod.LibraryConfig{
 		Titles: 6, Disks: 1, Spec: spec, PopularityTheta: 0.271,
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// A hand-built burst schedule: 30 minutes of calm (a few arrivals),
@@ -33,10 +42,10 @@ func main() {
 	crowd := 45.0 / 1800 // ~45 arrivals per half hour — below capacity
 	schedule := burstSchedule([]float64{calm, calm, crowd, crowd, calm})
 	trace := vod.GenerateWorkload(schedule, lib, 7)
-	fmt.Printf("workload: %d arrivals over %v, flash crowd in minutes 60-90\n\n",
+	fmt.Fprintf(w, "workload: %d arrivals over %v, flash crowd in minutes 60-90\n\n",
 		len(trace.Requests), schedule.Horizon())
 
-	fmt.Printf("%-8s %8s %8s %8s %8s %10s %12s\n",
+	fmt.Fprintf(w, "%-8s %8s %8s %8s %8s %10s %12s\n",
 		"scheme", "served", "maxConc", "deferred", "rejected", "underruns", "starved")
 	for _, scheme := range []vod.Scheme{vod.Dynamic, vod.Naive, vod.Static} {
 		res, err := vod.Simulate(vod.SimConfig{
@@ -44,15 +53,16 @@ func main() {
 			Spec: spec, CR: cr, Library: lib, Trace: trace, Seed: 7,
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("%-8v %8d %8d %8d %8d %10d %12v\n",
+		fmt.Fprintf(w, "%-8v %8d %8d %8d %8d %10d %12v\n",
 			scheme, res.Served, res.MaxConcurrent, res.Deferrals, res.Rejected, res.Underruns, res.Starved)
 	}
-	fmt.Println("\nthe dynamic scheme's buffers were sized for a bounded near future")
-	fmt.Println("and its admission control enforces that bound, so the admitted")
-	fmt.Println("viewers never starve; the naive scheme sizes for the present only")
-	fmt.Println("and starves the buffers it already promised to keep full.")
+	fmt.Fprintln(w, "\nthe dynamic scheme's buffers were sized for a bounded near future")
+	fmt.Fprintln(w, "and its admission control enforces that bound, so the admitted")
+	fmt.Fprintln(w, "viewers never starve; the naive scheme sizes for the present only")
+	fmt.Fprintln(w, "and starves the buffers it already promised to keep full.")
+	return nil
 }
 
 // burstSchedule builds a piecewise-constant schedule from per-slot rates

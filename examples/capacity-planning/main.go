@@ -11,23 +11,33 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"log"
 	"math"
+	"os"
 
 	vod "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints both provisioning tables to w.
+func run(w io.Writer) error {
 	spec, _, params := vod.PaperEnvironment()
 	method := vod.NewMethod(vod.RoundRobin)
 	const disks = 10
 	const k = 4 // the paper's measured worst-average prediction for RR
 
-	fmt.Printf("server: %d x %s, %v streams, Round-Robin/BubbleUp\n", disks, spec.Name, vod.Mbps(1.5))
-	fmt.Printf("aggregate disk capacity: %d concurrent viewers\n\n", disks*params.N)
+	fmt.Fprintf(w, "server: %d x %s, %v streams, Round-Robin/BubbleUp\n", disks, spec.Name, vod.Mbps(1.5))
+	fmt.Fprintf(w, "aggregate disk capacity: %d concurrent viewers\n\n", disks*params.N)
 
 	// Question 1: memory needed for a target of evenly loaded viewers.
-	fmt.Println("memory needed to guarantee a target concurrency (even disk load):")
-	fmt.Printf("  %8s %14s %14s %9s\n", "viewers", "static", "dynamic", "saving")
+	fmt.Fprintln(w, "memory needed to guarantee a target concurrency (even disk load):")
+	fmt.Fprintf(w, "  %8s %14s %14s %9s\n", "viewers", "static", "dynamic", "saving")
 	for _, target := range []int{100, 200, 400, 600, 790} {
 		perDisk := (target + disks - 1) / disks
 		kk := k
@@ -36,23 +46,24 @@ func main() {
 		}
 		static := float64(vod.MinMemoryStatic(params, method, spec, perDisk)) * disks
 		dynamic := float64(vod.MinMemoryDynamic(params, method, spec, perDisk, kk)) * disks
-		fmt.Printf("  %8d %13.2fGB %13.2fGB %8.1fx\n",
+		fmt.Fprintf(w, "  %8d %13.2fGB %13.2fGB %8.1fx\n",
 			target, vod.Bits(static).GigabytesVal(), vod.Bits(dynamic).GigabytesVal(), static/dynamic)
 	}
 
 	// Question 2: viewers supported by a given memory budget, assuming
 	// the popularity-driven load imbalance of Wolf et al. (Zipf 0.271
 	// across disks) and spending memory greedily where it is cheapest.
-	fmt.Println("\nviewers supported by a memory budget (Zipf(0.271) disk load):")
-	fmt.Printf("  %8s %10s %10s\n", "memory", "static", "dynamic")
+	fmt.Fprintln(w, "\nviewers supported by a memory budget (Zipf(0.271) disk load):")
+	fmt.Fprintf(w, "  %8s %10s %10s\n", "memory", "static", "dynamic")
 	for _, gb := range []float64{1, 2, 4, 8, 11} {
 		budget := vod.Gigabytes(gb)
-		fmt.Printf("  %7.1fG %10d %10d\n", gb,
+		fmt.Fprintf(w, "  %7.1fG %10d %10d\n", gb,
 			plan(params, method, spec, false, budget),
 			plan(params, method, spec, true, budget))
 	}
-	fmt.Println("\nthe dynamic scheme moves saved memory to the hot disks, which is")
-	fmt.Println("exactly the load-imbalance argument of Section 5.3.")
+	fmt.Fprintln(w, "\nthe dynamic scheme moves saved memory to the hot disks, which is")
+	fmt.Fprintln(w, "exactly the load-imbalance argument of Section 5.3.")
+	return nil
 }
 
 // plan greedily admits viewers across the disks until the budget is

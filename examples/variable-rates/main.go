@@ -10,39 +10,48 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	vod "repro"
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run prints the two methods' capacities and buffer sizes to w.
+func run(w io.Writer) error {
 	spec := vod.Barracuda9LP()
 	rates := []vod.BitRate{vod.Mbps(0.5), vod.Mbps(1.5), vod.Mbps(3)}
 	set, err := vod.NewRateSet(rates)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("rates: %v   unit: %v   max: %v\n\n", rates, set.Unit(), set.Max())
+	fmt.Fprintf(w, "rates: %v   unit: %v   max: %v\n\n", rates, set.Unit(), set.Max())
 
 	maxP, err := set.MaxRateParams(spec.TransferRate, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	unitP, err := set.UnitRateParams(spec.TransferRate, 1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Capacity: the max-rate method charges every stream 3 Mbps; the
 	// unit-rate method charges exactly what each consumes.
-	fmt.Printf("capacity, max-rate method:  %d streams (any mix)\n", maxP.N)
-	fmt.Printf("capacity, unit-rate method: %d unit slots =\n", unitP.N)
+	fmt.Fprintf(w, "capacity, max-rate method:  %d streams (any mix)\n", maxP.N)
+	fmt.Fprintf(w, "capacity, unit-rate method: %d unit slots =\n", unitP.N)
 	for _, r := range rates {
 		m, err := set.Multiple(r)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		fmt.Printf("  %8v -> %d slots each: up to %d such streams alone\n", r, m, unitP.N/m)
+		fmt.Fprintf(w, "  %8v -> %d slots each: up to %d such streams alone\n", r, m, unitP.N/m)
 	}
 
 	// Buffers: a mixed load of 30 physical streams, 10 of each rate.
@@ -50,17 +59,18 @@ func main() {
 	m := vod.NewMethod(vod.RoundRobin)
 	nUnits := 10*1 + 10*3 + 10*6
 	dl := vod.WorstDiskLatency(m, spec, nUnits)
-	fmt.Printf("\nbuffers for 30 mixed streams (= %d unit streams), k = 4:\n", nUnits)
-	fmt.Printf("  %8s %14s %14s\n", "rate", "unit-rate BS", "max-rate BS")
+	fmt.Fprintf(w, "\nbuffers for 30 mixed streams (= %d unit streams), k = 4:\n", nUnits)
+	fmt.Fprintf(w, "  %8s %14s %14s\n", "rate", "unit-rate BS", "max-rate BS")
 	for _, r := range rates {
 		unitBS, err := set.StreamBuffer(unitP, dl, nUnits, 4, r)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		// Max-rate method: every stream is a 3 Mbps stream; 30 of them.
 		maxBS := vod.DynamicBufferSize(maxP, vod.WorstDiskLatency(m, spec, 30), 30, 4)
-		fmt.Printf("  %8v %14v %14v\n", r, unitBS, maxBS)
+		fmt.Fprintf(w, "  %8v %14v %14v\n", r, unitBS, maxBS)
 	}
-	fmt.Println("\nthe unit-rate method sizes each stream for what it actually")
-	fmt.Println("consumes; the max-rate method charges everyone for HD.")
+	fmt.Fprintln(w, "\nthe unit-rate method sizes each stream for what it actually")
+	fmt.Fprintln(w, "consumes; the max-rate method charges everyone for HD.")
+	return nil
 }

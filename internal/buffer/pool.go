@@ -82,11 +82,6 @@ type state struct {
 // above float64 time jitter.
 const UnderrunTolerance si.Seconds = 1e-3
 
-// DebugUnderruns, when set, is called on every underrun with the time and
-// the starvation gap. Tests and debugging hooks use it; production paths
-// leave it nil.
-var DebugUnderruns func(now, gap si.Seconds)
-
 // NewPool returns a pool with the given memory budget; budget 0 means
 // unlimited (the latency experiments run without a memory constraint).
 // Memory is accounted by the exact variable-length unit, the paper's
@@ -121,9 +116,9 @@ func (p *Pool) footprint(bits si.Bits) si.Bits {
 }
 
 // SetUnderrunFunc installs a per-pool underrun callback, invoked with the
-// detection time and the starvation gap on every underrun. Unlike the
-// global DebugUnderruns hook, it is owner-scoped: the engine routes it to
-// its Observer so live instrumentation never crosses pools.
+// detection time and the starvation gap on every underrun. It is
+// owner-scoped: the engine routes it to its Observer so live
+// instrumentation never crosses pools.
 func (p *Pool) SetUnderrunFunc(fn func(id int, now, gap si.Seconds)) { p.onUnderrun = fn }
 
 // SetUnderrunTolerance overrides the pool's underrun grace (<= 0 restores
@@ -228,9 +223,6 @@ func (p *Pool) drain(s *state, now si.Seconds) {
 			p.starved += gap
 			if p.onUnderrun != nil {
 				p.onUnderrun(s.id, now, gap)
-			}
-			if DebugUnderruns != nil {
-				DebugUnderruns(now, gap)
 			}
 		}
 		s.level = 0

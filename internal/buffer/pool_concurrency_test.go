@@ -38,7 +38,7 @@ func TestPoolSerializedConcurrentCallers(t *testing.T) {
 			for i := 0; i < ops; i++ {
 				mu.Lock()
 				t := tick()
-				if p.BeginFill(id, si.Megabits(1), t) {
+				if p.BeginFill(id, si.Megabits(5), t) {
 					p.CompleteFill(id, tick())
 				}
 				p.Level(id, now)
@@ -62,8 +62,11 @@ func TestPoolSerializedConcurrentCallers(t *testing.T) {
 	if st.Streams != 0 {
 		t.Errorf("Stats.Streams = %d, want 0", st.Streams)
 	}
-	// Each fill lands ~1 ms after the last at 1 Mbit per fill versus
-	// 1.5 Mbps consumption: buffers never drain between refills.
+	// Under mutex contention one worker can wait hundreds of ticks between
+	// its fills, so the fill is sized for the worst interleaving: the
+	// whole test spans at most workers·(2·ops+2) = 3,216 ticks of 1 ms,
+	// which drains 4.82 Mbit at 1.5 Mbps, so one 5 Mbit fill outlasts any
+	// gap and buffers never drain between refills.
 	if st.Underruns != 0 {
 		t.Errorf("Underruns = %d, want 0 under keep-ahead fills", st.Underruns)
 	}

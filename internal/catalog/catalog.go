@@ -180,16 +180,8 @@ type Config struct {
 	// Video overrides the default MPEG-1 title parameters when non-nil.
 	Video func(id int) Video
 
-	// Place overrides the round-robin title-to-disk assignment when
-	// non-nil: Place(id) returns the disk for title id, in [0, Disks).
-	// Popularity-skewed catalogs use it to balance expected load across
-	// disks (e.g. a serpentine deal of titles in popularity order).
-	// Ignored when Policy is set.
-	Place func(id int) int
-
 	// Policy decides the full layout — replication and striping included
-	// — when non-nil, superseding Place. The default (nil Policy, nil
-	// Place) is RoundRobin.
+	// — when non-nil. The default (nil Policy) is RoundRobin.
 	Policy PlacementPolicy
 
 	// ChunkSize, when positive, stores videos as replicated chunks of
@@ -251,11 +243,7 @@ func New(cfg Config) (*Library, error) {
 
 	policy := cfg.Policy
 	if policy == nil {
-		if cfg.Place != nil {
-			policy = placeFunc(cfg.Place)
-		} else {
-			policy = RoundRobin{}
-		}
+		policy = RoundRobin{}
 	}
 	specs, err := policy.Place(PolicyContext{
 		Videos:     videos,

@@ -253,21 +253,3 @@ func (e Explicit) Place(ctx PolicyContext) ([][]ReplicaSpec, error) {
 	}
 	return e, nil
 }
-
-// placeFunc adapts the legacy Config.Place hook (one disk per title) to
-// the policy interface.
-type placeFunc func(id int) int
-
-func (placeFunc) Name() string { return "place-func" }
-
-func (f placeFunc) Place(ctx PolicyContext) ([][]ReplicaSpec, error) {
-	out := make([][]ReplicaSpec, len(ctx.Videos))
-	for id := range ctx.Videos {
-		d := f(id)
-		if d < 0 || d >= ctx.Disks {
-			return nil, fmt.Errorf("catalog: Place(%d) = %d outside [0, %d)", id, d, ctx.Disks)
-		}
-		out[id] = []ReplicaSpec{{Disks: []int{d}}}
-	}
-	return out, nil
-}

@@ -217,13 +217,6 @@ func (c *Cluster) System(s int) *engine.System { return c.systems[s] }
 // Router exposes the admission router.
 func (c *Cluster) Router() *Router { return c.router }
 
-// GlobalDisk maps a (server, local disk) pair to the fleet-wide index.
-func (c *Cluster) GlobalDisk(server, disk int) int { return server*c.disksPer + disk }
-
-// SetNextID seeds the ID allocator used for striped continuation
-// requests; drivers set it past their trace's largest request ID.
-func (c *Cluster) SetNextID(n int64) { c.nextID.Store(n) }
-
 // Submit routes one arrival and feeds it to the chosen server's engine.
 // The request's Disk field is overwritten with the routing decision.
 // ok == false means the router rejected it (no replica had headroom).

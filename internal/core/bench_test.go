@@ -62,17 +62,3 @@ func BenchmarkBookSetAndMins(b *testing.B) {
 		_ = book.MinK()
 	}
 }
-
-func BenchmarkControllerAllocate(b *testing.B) {
-	c := NewController(paperParams(), ConstDL(dlRR()), si.Minutes(40))
-	if !c.Admit(0) {
-		b.Fatal("admit failed")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := c.Allocate(1, si.Seconds(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -63,12 +63,6 @@ func (st *Stream) Required() si.Bits { return st.required }
 // which downgrading admission may have stepped below the requested one.
 func (st *Stream) Rate() si.BitRate { return st.rate }
 
-// Want is the rung the viewer originally requested — the ceiling
-// mid-stream adaptation may step the stream back up to after downgrading
-// admission or a down-switch parked it lower. Equal to Rate() while no
-// downgrade or switch has happened.
-func (st *Stream) Want() si.BitRate { return st.want }
-
 // RateSince reports when the stream's current rate epoch began: its
 // first fill, or its most recent mid-stream switch. Inside an
 // OnRateSwitch callback it still reports the epoch that is ending, so

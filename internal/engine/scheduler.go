@@ -39,9 +39,6 @@ type Scheduler interface {
 	OnServiced(st *Stream)
 }
 
-// DebugForm, when set, observes every Sweep* period formation. Debug-only.
-var DebugForm func(now si.Seconds, ids []int)
-
 // NewScheduler builds the standard Scheduler for the disk's configured
 // method: Round-Robin (with BubbleUp unless disabled), Sweep*, or GSS*.
 func NewScheduler(d *Disk) Scheduler {
@@ -250,13 +247,6 @@ func (p *sweepScheduler) form() bool {
 		return false
 	}
 	sortByCylinder(p.d, p.period)
-	if DebugForm != nil {
-		ids := make([]int, len(p.period))
-		for i, st := range p.period {
-			ids[i] = st.id
-		}
-		DebugForm(p.d.now(), ids)
-	}
 	return true
 }
 
@@ -387,9 +377,9 @@ func (p *gssScheduler) advance() bool {
 	return true
 }
 
-// cylSorter sorts a batch of streams by (cylinder of next read, id) —
-// sched.SweepOrder's exact total order — with the key slice kept on the
-// disk so period formation allocates nothing in steady state.
+// cylSorter sorts a batch of streams by (cylinder of next read, id), a
+// total order, with the key slice kept on the disk so period formation
+// allocates nothing in steady state.
 type cylSorter struct {
 	batch []*Stream
 	keys  []int
@@ -408,8 +398,8 @@ func (s *cylSorter) Swap(i, j int) {
 }
 
 // sortByCylinder orders streams by the disk position of their next read,
-// ties by id. The (cylinder, id) order is total, so any sort yields the
-// same deterministic permutation sched.SweepOrder produced.
+// ties by id. No two streams share an id, so the (cylinder, id) order is
+// total and any sort algorithm yields the same deterministic permutation.
 func sortByCylinder(d *Disk, batch []*Stream) {
 	s := &d.cylSort
 	s.batch = batch

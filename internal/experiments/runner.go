@@ -229,13 +229,13 @@ var (
 // first use. Libraries are immutable after construction, so one instance
 // is safely shared by every cell of every grid in the process — Fig. 14
 // alone rebuilds the identical catalog for every (memory, scheme, seed)
-// cell of a skew otherwise. Configs carrying override hooks (Video,
-// Place) or a chunked layout are built fresh each time: function fields
-// are not comparable, so their identity cannot live in the cache key.
+// cell of a skew otherwise. Configs carrying a Video override hook or a
+// chunked layout are built fresh each time: function fields are not
+// comparable, so their identity cannot live in the cache key.
 // Sharing is a pure memoization — catalog.New is deterministic in its
 // config — so reports are bit-identical with and without the cache.
 func sharedLibrary(cfg catalog.Config) (*catalog.Library, error) {
-	if cfg.Video != nil || cfg.Place != nil || cfg.ChunkSize != 0 || cfg.MaxRead != 0 {
+	if cfg.Video != nil || cfg.ChunkSize != 0 || cfg.MaxRead != 0 {
 		return catalog.New(cfg)
 	}
 	key := libKey{titles: cfg.Titles, disks: cfg.Disks, spec: cfg.Spec, theta: cfg.PopularityTheta}

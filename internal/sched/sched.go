@@ -18,7 +18,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/core"
 	"repro/internal/diskmodel"
@@ -164,16 +163,4 @@ func (m Method) Groups(n int) int {
 	default:
 		return (n + m.Group - 1) / m.Group
 	}
-}
-
-// SweepOrder sorts ids by their cylinder positions, ascending, breaking
-// ties by id for determinism. It is the service order of one sweep.
-func SweepOrder(ids []int, cylinderOf func(id int) int) {
-	sort.Slice(ids, func(i, j int) bool {
-		ci, cj := cylinderOf(ids[i]), cylinderOf(ids[j])
-		if ci != cj {
-			return ci < cj
-		}
-		return ids[i] < ids[j]
-	})
 }

@@ -152,40 +152,3 @@ func TestGroups(t *testing.T) {
 		}
 	}
 }
-
-func TestSweepOrder(t *testing.T) {
-	cyl := map[int]int{1: 500, 2: 100, 3: 900, 4: 100}
-	ids := []int{1, 2, 3, 4}
-	SweepOrder(ids, func(id int) int { return cyl[id] })
-	want := []int{2, 4, 1, 3} // ties (2,4 at 100) break by id
-	for i := range want {
-		if ids[i] != want[i] {
-			t.Fatalf("order = %v, want %v", ids, want)
-		}
-	}
-}
-
-// Property: SweepOrder output is a permutation sorted by cylinder.
-func TestSweepOrderSorted(t *testing.T) {
-	f := func(cyls []uint16) bool {
-		ids := make([]int, len(cyls))
-		for i := range ids {
-			ids[i] = i
-		}
-		SweepOrder(ids, func(id int) int { return int(cyls[id]) })
-		seen := make(map[int]bool)
-		for i, id := range ids {
-			if seen[id] {
-				return false
-			}
-			seen[id] = true
-			if i > 0 && cyls[ids[i-1]] > cyls[id] {
-				return false
-			}
-		}
-		return len(seen) == len(cyls)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}

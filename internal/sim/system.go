@@ -532,20 +532,6 @@ func (g *governor) Release(d *engine.Disk) {
 	g.resv[d.ID()] = newMem
 }
 
-// DebugSample, when set, observes each periodic sample with a lazy
-// per-stream (size, level) dump for disk 0. Debug-only.
-var DebugSample func(dump func() [][2]si.Bits, now si.Seconds, usage si.Bits)
-
-// levelDump returns per-stream (size, level) pairs for disk 0 at now.
-func levelDump(sys *engine.System, now si.Seconds) [][2]si.Bits {
-	var out [][2]si.Bits
-	d := sys.Disk(0)
-	for _, st := range d.Streams() {
-		out = append(out, [2]si.Bits{st.Size(), d.Pool().Level(st.ID(), now)})
-	}
-	return out
-}
-
 // Run executes one simulation and returns its measurements.
 //
 // Run is safe to call concurrently from multiple goroutines: all mutable
@@ -636,9 +622,6 @@ func Run(cfg Config) (*Result, error) {
 		var usage si.Bits
 		for i := 0; i < sys.Disks(); i++ {
 			usage += sys.Disk(i).Pool().Usage(now)
-		}
-		if DebugSample != nil {
-			DebugSample(func() [][2]si.Bits { return levelDump(sys, now) }, now, usage)
 		}
 		res.Concurrency.Add(now, float64(col.concurrent))
 		res.Memory.Add(now, float64(usage))

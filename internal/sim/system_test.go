@@ -575,21 +575,8 @@ func (f *fillObserver) OnFill(disk int, st *engine.Stream, start, dur si.Seconds
 	f.fills++
 }
 
-// The observability hooks: the engine's Observer fan-out and the
-// simulator's debug hooks fire on the events they observe.
-func TestDebugHooks(t *testing.T) {
-	var forms, samples int
-	engine.DebugForm = func(now si.Seconds, ids []int) { forms++ }
-	DebugSample = func(dump func() [][2]si.Bits, now si.Seconds, usage si.Bits) {
-		samples++
-		if samples == 3 {
-			if d := dump(); d == nil && usage > 0 {
-				t.Error("dump returned nil while memory in use")
-			}
-		}
-	}
-	defer func() { engine.DebugForm, DebugSample = nil, nil }()
-
+// The engine's Observer fan-out reaches an Observer set on the Config.
+func TestObserverFires(t *testing.T) {
 	lib := testLibrary(t, 1)
 	tr := lightTrace(t, lib, 30, 1, 31)
 	fo := &fillObserver{}
@@ -598,8 +585,8 @@ func TestDebugHooks(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if forms == 0 || fo.fills == 0 || samples == 0 {
-		t.Errorf("hooks did not fire: forms=%d fills=%d samples=%d", forms, fo.fills, samples)
+	if fo.fills == 0 {
+		t.Error("Observer.OnFill never fired")
 	}
 }
 

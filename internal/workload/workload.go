@@ -98,9 +98,6 @@ func (s Schedule) Horizon() si.Seconds {
 	return s.slotLen * si.Seconds(len(s.rates))
 }
 
-// SlotLen reports the slot duration.
-func (s Schedule) SlotLen() si.Seconds { return s.slotLen }
-
 // Total reports the expected number of arrivals over the horizon.
 func (s Schedule) Total() float64 {
 	sum := 0.0

@@ -473,14 +473,3 @@ type EngineStream = engine.Stream
 // wraps it under a VirtualClock; cmd/vodserver drives it live under a
 // WallClock.
 func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }
-
-// Controller is the thread-safe runtime form of the dynamic scheme for a
-// real server: sizing table, arrival estimator, and inertia book behind
-// one API (ObserveArrival / Admit / Allocate / Release).
-type Controller = core.Controller
-
-// NewController builds a controller for one disk running the given
-// scheduling method, with history window tlog.
-func NewController(p Params, m Method, spec DiskSpec, tlog Seconds) *Controller {
-	return core.NewController(p, m.DLModel(spec), tlog)
-}

@@ -96,23 +96,6 @@ func TestFacadeExperiments(t *testing.T) {
 	}
 }
 
-func TestFacadeController(t *testing.T) {
-	spec, _, p := vod.PaperEnvironment()
-	ctl := vod.NewController(p, vod.NewMethod(vod.RoundRobin), spec, vod.Minutes(40))
-	ctl.ObserveArrival(0)
-	if !ctl.Admit(0) {
-		t.Fatal("admit failed")
-	}
-	size, kc, err := ctl.Allocate(1, 1)
-	if err != nil || size <= 0 || kc < 1 {
-		t.Fatalf("Allocate = %v, %d, %v", size, kc, err)
-	}
-	ctl.Release(1)
-	if got := ctl.InService(); got != 0 {
-		t.Errorf("InService = %d", got)
-	}
-}
-
 func TestFacadeRateSet(t *testing.T) {
 	s, err := vod.NewRateSet([]vod.BitRate{vod.Mbps(1.5), vod.Mbps(0.5)})
 	if err != nil {

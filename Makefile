@@ -50,15 +50,15 @@ cover:
 bench:
 	$(GO) test -bench=RunExperimentParallel -run=^$$ -benchtime=1x ./internal/experiments
 
-# The tracked performance cases, gated on allocs/op against the committed
-# baseline (see EXPERIMENTS.md "Benchmark trajectory"). Race-free: the
-# gate measures allocations, which -race instrumentation would distort.
+# The allocation gate: the cases that allocate, allocs/op against the
+# committed baseline (see EXPERIMENTS.md "Benchmark trajectory").
+# Race-free: -race instrumentation would distort the counts.
 bench-smoke:
-	$(GO) run ./cmd/bench -baseline BENCH_PR15.json -check -out /dev/null
+	$(GO) run ./cmd/bench -check BENCH_ALLOCS.json
 
-# Regenerate the committed baseline after an intentional perf change.
+# Rewrite the committed baseline after an intentional allocation change.
 bench-snapshot:
-	$(GO) run ./cmd/bench -out BENCH_PR15.json
+	$(GO) run ./cmd/bench > BENCH_ALLOCS.json
 
 # The repo benchmark (benchmark/, see BENCHMARK.json) is its own module,
 # so `go build ./... && go test ./...` at the root never compiles it; this
@@ -78,9 +78,9 @@ bench-harness:
 			|| { echo "bench-harness: $$w did not report \"correct\":true"; exit 1; }; \
 	done
 
-# Documentation gate: every relative link in the maintained docs must
-# resolve, and README.md's architecture inventory must name every
-# package under internal/ and cmd/ (see cmd/docscheck).
+# Documentation gate: every relative link and backticked repo path in
+# the maintained docs must resolve, and README.md's architecture
+# inventory must match the package tree both ways (see cmd/docscheck).
 docs-check:
 	$(GO) run ./cmd/docscheck
 

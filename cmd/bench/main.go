@@ -1,207 +1,151 @@
-// Command bench runs the repository's tracked performance cases
-// (internal/bench) with fixed iteration counts and writes the results as
-// a BENCH_*.json snapshot — the committed record of each PR's
-// performance trajectory.
+// Command bench is the repository's allocation gate. It runs the tracked
+// cases that allocate — a cold virtual clock, eight simulated days and
+// four loopback serving workloads — a fixed number of times each, and
+// prints one allocs/op count per case as JSON:
 //
-// Usage:
+//	go run ./cmd/bench                           # print the snapshot
+//	go run ./cmd/bench -check BENCH_ALLOCS.json  # gate it against the baseline
 //
-//	go run ./cmd/bench -out BENCH_PR3.json            # snapshot
-//	go run ./cmd/bench -baseline BENCH_PR3.json -check # regression gate
+// Only allocation counts are recorded. With fixed iteration counts they
+// repeat from run to run within a few allocations; a day's count moves
+// by a handful because a map's growth points follow the runtime's
+// per-map hash seed, which is what the gate's tolerance absorbs. Time
+// drifts with the machine's load and is measured by the repo benchmark
+// (benchmark/, see BENCHMARK.json) instead. The hot paths that must not
+// allocate at all are pinned at exactly zero by AllocsPerRun tests in
+// their own packages.
 //
-// The -check gate compares allocs/op only: with fixed iteration counts it
-// is reproducible run to run, unlike ns/op, which drifts with machine
-// load. A case regresses when its allocs/op exceeds the baseline's by
-// more than 10% plus one allocation of slack.
+// -check fails when a case's allocs/op exceeds its baseline b by more
+// than b·110/100 + 1, when a case is missing from the run or from the
+// baseline, or when the jitter-compensation case's floor fails.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
-	"strings"
-	"testing"
-
-	"repro/internal/bench"
 )
 
-// Report is the BENCH_*.json schema.
-type Report struct {
-	// Schema versions the format.
-	Schema string `json:"schema"`
-	// Go is the toolchain that produced the numbers.
-	Go string `json:"go"`
-	// Cases holds one result per tracked benchmark, in registry order.
-	Cases []CaseResult `json:"cases"`
-	// Skipped names the MinProcs-gated cases this run could not execute
-	// (not enough CPUs) — recorded so a snapshot is explicit about its
-	// coverage gap instead of silently omitting cases.
-	Skipped []string `json:"skipped,omitempty"`
+// result is one case's entry in the snapshot and in BENCH_ALLOCS.json.
+type result struct {
+	Name        string `json:"name"`
+	AllocsPerOp int64  `json:"allocs_per_op"`
 }
 
-// CaseResult is one benchmark's snapshot.
-type CaseResult struct {
-	Name        string  `json:"name"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	// SimDaysPerSec is set only for end-to-end day-simulation cases.
-	SimDaysPerSec float64 `json:"sim_days_per_sec,omitempty"`
-	// Extra carries a case's custom b.ReportMetric values (the loopback
-	// cases' sessions/sec, first-byte latency quantiles, underruns).
-	Extra map[string]float64 `json:"extra,omitempty"`
+// benchCase is one tracked allocation count.
+type benchCase struct {
+	// name identifies the case in BENCH_ALLOCS.json.
+	name string
+	// iters is the fixed number of operations the case runs.
+	iters int
+	// measure sets the case up, runs its operation iters times and
+	// returns the heap allocations the operations made, set-up excluded.
+	measure func(iters int) (uint64, error)
 }
 
 func main() {
-	var (
-		out      = flag.String("out", "", "write the JSON report to this file (default stdout)")
-		baseline = flag.String("baseline", "", "compare against this committed BENCH_*.json")
-		check    = flag.Bool("check", false, "exit non-zero when allocs/op regresses >10% over -baseline")
-		filter   = flag.String("filter", "", "run only cases whose name contains this substring")
-		list     = flag.Bool("list", false, "list tracked cases and exit")
-	)
-	testing.Init()
-	flag.Parse()
-
-	cases := bench.Cases()
-	if *list {
-		for _, c := range cases {
-			fmt.Printf("%-32s %dx\n", c.Name, c.Iters)
-		}
-		return
-	}
-
-	rep := Report{Schema: "repro-bench/v1", Go: runtime.Version()}
-	for _, c := range cases {
-		if *filter != "" && !strings.Contains(c.Name, *filter) {
-			continue
-		}
-		if c.MinProcs > runtime.GOMAXPROCS(0) {
-			fmt.Fprintf(os.Stderr, "%-32s skipped: needs GOMAXPROCS >= %d (have %d)\n",
-				c.Name, c.MinProcs, runtime.GOMAXPROCS(0))
-			rep.Skipped = append(rep.Skipped, c.Name)
-			continue
-		}
-		if err := flag.Set("test.benchtime", fmt.Sprintf("%dx", c.Iters)); err != nil {
-			fatalf("setting benchtime: %v", err)
-		}
-		r := testing.Benchmark(c.Bench)
-		cr := CaseResult{
-			Name:        c.Name,
-			Iters:       r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
-		if c.SimDays && r.T > 0 {
-			cr.SimDaysPerSec = float64(r.N) / r.T.Seconds()
-		}
-		if len(r.Extra) > 0 {
-			cr.Extra = make(map[string]float64, len(r.Extra))
-			for k, v := range r.Extra {
-				cr.Extra[k] = v
-			}
-		}
-		rep.Cases = append(rep.Cases, cr)
-		fmt.Fprintf(os.Stderr, "%-32s %12.1f ns/op %10d B/op %8d allocs/op\n",
-			c.Name, cr.NsPerOp, cr.BytesPerOp, cr.AllocsPerOp)
-	}
-	if len(rep.Skipped) > 0 {
-		fmt.Fprintf(os.Stderr, "bench: %d MinProcs-gated case(s) NOT measured on this %d-proc runner: %s\n",
-			len(rep.Skipped), runtime.GOMAXPROCS(0), strings.Join(rep.Skipped, ", "))
-		fmt.Fprintln(os.Stderr, "bench: see SERVING.md \"Serving-path performance\" for the multicore local protocol")
-	}
-
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatalf("encoding report: %v", err)
-	}
-	buf = append(buf, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, buf, 0o644); err != nil {
-			fatalf("writing %s: %v", *out, err)
-		}
-	} else {
-		os.Stdout.Write(buf)
-	}
-
-	if *baseline != "" {
-		regressions, err := compare(*baseline, rep)
-		if err != nil {
-			fatalf("comparing against %s: %v", *baseline, err)
-		}
-		if r := jitterCompRegression(rep); r != "" {
-			regressions = append(regressions, r)
-		}
-		if len(regressions) > 0 {
-			for _, r := range regressions {
-				fmt.Fprintln(os.Stderr, "REGRESSION:", r)
-			}
-			if *check {
-				os.Exit(1)
-			}
-		} else {
-			fmt.Fprintln(os.Stderr, "bench: no allocs/op regressions against", *baseline)
-		}
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// compare reports the cases whose allocs/op exceed the baseline's by more
-// than 10% plus one allocation. Cases absent from either side are skipped:
-// the set may grow between PRs.
-func compare(path string, cur Report) ([]string, error) {
-	buf, err := os.ReadFile(path)
+// run is the testable entry point: it parses args, measures every case,
+// prints the snapshot and, under -check, gates it. It returns the
+// process exit code.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	check := fs.String("check", "", "gate the run against the baseline `file` (BENCH_ALLOCS.json)")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "bench: unexpected argument %q\n", fs.Arg(0))
+		return 2
+	}
+	var base []result
+	if *check != "" {
+		buf, err := os.ReadFile(*check)
+		if err == nil {
+			err = json.Unmarshal(buf, &base)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "bench: reading baseline: %v\n", err)
+			return 1
+		}
+	}
+
+	var cur []result
+	for _, c := range cases() {
+		runtime.GC() // start each case from a collected heap, as a Go benchmark does
+		mallocs, err := c.measure(c.iters)
+		if err != nil {
+			fmt.Fprintf(stderr, "bench: %s: %v\n", c.name, err)
+			return 1
+		}
+		r := result{Name: c.name, AllocsPerOp: int64(mallocs) / int64(c.iters)}
+		fmt.Fprintf(stderr, "%-32s %8d allocs/op\n", r.Name, r.AllocsPerOp)
+		cur = append(cur, r)
+	}
+	buf, err := json.MarshalIndent(cur, "", "  ")
+	if err == nil {
+		_, err = stdout.Write(append(buf, '\n'))
+	}
 	if err != nil {
-		return nil, err
+		fmt.Fprintf(stderr, "bench: writing snapshot: %v\n", err)
+		return 1
 	}
-	var base Report
-	if err := json.Unmarshal(buf, &base); err != nil {
-		return nil, err
+
+	if *check == "" {
+		return 0
 	}
-	old := make(map[string]CaseResult, len(base.Cases))
-	for _, c := range base.Cases {
-		old[c.Name] = c
+	if problems := compare(base, cur); len(problems) > 0 {
+		for _, p := range problems {
+			fmt.Fprintln(stderr, "REGRESSION:", p)
+		}
+		return 1
 	}
-	var regressions []string
-	for _, c := range cur.Cases {
+	fmt.Fprintln(stderr, "bench: no allocs/op regressions against", *check)
+	return 0
+}
+
+// compare returns one problem per case of cur whose allocs/op exceed
+// its baseline b by more than b·110/100 + 1, and one per case present
+// on only one side: a case dropped from the run, or added without a
+// baseline, must not pass unnoticed.
+func compare(base, cur []result) []string {
+	old := make(map[string]int64, len(base))
+	for _, b := range base {
+		old[b.Name] = b.AllocsPerOp
+	}
+	var problems []string
+	seen := make(map[string]bool, len(cur))
+	for _, c := range cur {
+		seen[c.Name] = true
 		b, ok := old[c.Name]
 		if !ok {
+			problems = append(problems, fmt.Sprintf("%s: no baseline", c.Name))
 			continue
 		}
-		limit := int64(float64(b.AllocsPerOp)*1.10) + 1
-		if c.AllocsPerOp > limit {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %d allocs/op vs baseline %d (limit %d)",
-				c.Name, c.AllocsPerOp, b.AllocsPerOp, limit))
+		if limit := b*110/100 + 1; c.AllocsPerOp > limit {
+			problems = append(problems, fmt.Sprintf(
+				"%s: %d allocs/op vs baseline %d (limit %d)", c.Name, c.AllocsPerOp, b, limit))
 		}
 	}
-	return regressions, nil
-}
-
-// jitterCompRegression holds the serving path to its claimed win: in
-// the serve/loopback-jittercomp case, compensation must cut underruns
-// at least 5x whenever the uncompensated arm saw enough of them for the
-// ratio to mean anything (>= 50 — below that the machine was quiet and
-// there is nothing to compensate, so the gate stays silent rather than
-// flaking on noise).
-func jitterCompRegression(rep Report) string {
-	for _, c := range rep.Cases {
-		if c.Name != "serve/loopback-jittercomp" || c.Extra == nil {
-			continue
-		}
-		off, on := c.Extra["underruns-nocomp"], c.Extra["underruns-comp"]
-		if off >= 50 && on*5 > off {
-			return fmt.Sprintf(
-				"serve/loopback-jittercomp: compensation cut underruns %.0f -> %.0f, less than the required 5x",
-				off, on)
+	for _, b := range base {
+		if !seen[b.Name] {
+			problems = append(problems, fmt.Sprintf("%s: in the baseline but not run", b.Name))
 		}
 	}
-	return ""
+	return problems
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "bench: "+format+"\n", args...)
-	os.Exit(1)
+// mallocs returns the heap allocations op makes, and op's error.
+func mallocs(op func() error) (uint64, error) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := op()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, err
 }

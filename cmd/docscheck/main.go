@@ -6,11 +6,12 @@
 //     a file or directory in the tree (external http(s) links and pure
 //     in-page #fragments are not followed);
 //   - every repository path they cite in backticks (internal/…, cmd/…,
-//     examples/…, results/…, benchmark/…) exists, so a deleted file or
-//     package cannot stay cited;
+//     examples/…, results/…, benchmark/… and the root-level BENCH*.json
+//     snapshots) exists, so a deleted file or package cannot stay cited;
 //   - README.md's architecture inventory names every package under
-//     internal/, cmd/ and examples/ — a new package cannot land
-//     undocumented.
+//     internal/, cmd/ and examples/, and every directory its tree lists
+//     under those three headers exists — a new package cannot land
+//     undocumented, nor a deleted one stay listed.
 //
 // The retrieved source artifacts (PAPER.md, PAPERS.md, SNIPPETS.md,
 // ISSUE.md) are excluded: they are inputs to the project, not
@@ -42,10 +43,15 @@ var historyDocs = map[string]bool{"ROADMAP.md": true, "CHANGES.md": true}
 
 // pathRE matches a code span holding one repository path, with an
 // optional leading "./" and an optional trailing Go symbol suffix, which
-// is not captured: `cmd/vodsim/main.go`, `internal/serve.Config.Seed`.
-// A glob or a placeholder (`cmd/*`, `internal/…`) is not a path and
-// does not match.
-var pathRE = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples|results|benchmark)/[^`\\s*…]*?)(?:\\.[A-Z]\\w*)*`")
+// is not captured: `cmd/vodsim/main.go`, `internal/serve.Config.Seed`,
+// `BENCH_ALLOCS.json`. A glob or a placeholder (`cmd/*`, `internal/…`,
+// `BENCH_*.json`) is not a path and does not match.
+var pathRE = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples|results|benchmark)/[^`\\s*…]*?|BENCH[^`\\s*…/]*\\.json)(?:\\.[A-Z]\\w*)*`")
+
+// treeEntryRE matches a directory entry of README.md's architecture
+// tree: a name with a trailing slash, indented two spaces under its
+// top-level header.
+var treeEntryRE = regexp.MustCompile(`^  ([\w.-]+)/(?:\s|$)`)
 
 // linkRE matches inline markdown links and images: [text](target) and
 // ![alt](target). Good enough for the prose style these docs use; code
@@ -133,7 +139,9 @@ func checkDocs(root string) []string {
 
 // checkInventory verifies README.md mentions every package directory
 // under internal/, cmd/ and examples/, in either spelled-out
-// ("internal/engine") or architecture-tree ("engine/") form.
+// ("internal/engine") or architecture-tree ("engine/") form, and that
+// every directory the architecture tree lists under one of those three
+// headers exists.
 func checkInventory(root string) []string {
 	data, err := os.ReadFile(filepath.Join(root, "README.md"))
 	if err != nil {
@@ -156,6 +164,21 @@ func checkInventory(root string) []string {
 			pkg := tree + "/" + e.Name()
 			if !strings.Contains(readme, pkg) && !strings.Contains(readme, e.Name()+"/") {
 				problems = append(problems, fmt.Sprintf("README.md: package %s missing from the architecture inventory", pkg))
+			}
+		}
+	}
+	tree := ""
+	for i, line := range strings.Split(readme, "\n") {
+		if !strings.HasPrefix(line, " ") {
+			tree = ""
+			if f := strings.Fields(line); len(f) > 0 && (f[0] == "internal/" || f[0] == "cmd/" || f[0] == "examples/") {
+				tree = f[0]
+			}
+			continue
+		}
+		if m := treeEntryRE.FindStringSubmatch(line); m != nil && tree != "" {
+			if info, err := os.Stat(filepath.Join(root, tree, m[1])); err != nil || !info.IsDir() {
+				problems = append(problems, fmt.Sprintf("README.md:%d: architecture tree lists %s%s/, which does not exist", i+1, tree, m[1]))
 			}
 		}
 	}

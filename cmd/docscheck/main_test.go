@@ -179,3 +179,42 @@ func TestMissingExampleFails(t *testing.T) {
 		t.Errorf("documented example reported missing:\n%s", out.String())
 	}
 }
+
+// The inventory is two-way: a directory the architecture tree lists
+// under internal/, cmd/ or examples/ must exist, even when a same-named
+// package in another tree would satisfy the forward check.
+func TestStaleTreeEntryFails(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "```\ninternal/\n  engine/   the runtime\n  tool/     deleted\n"+
+		"                the old cases\ncmd/\n  tool/     the gate\nvod.go    facade\n  notes/    not under a tree header\n```\n")
+	write(t, dir, "internal/engine/engine.go", "package engine\n")
+	write(t, dir, "cmd/tool/main.go", "package main\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with a stale tree entry, want 1", code)
+	}
+	if !strings.Contains(out.String(), "README.md:4: architecture tree lists internal/tool/, which does not exist") {
+		t.Errorf("stale entry not reported:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), "architecture tree lists"); n != 1 {
+		t.Errorf("%d tree entries reported, want only internal/tool/:\n%s", n, out.String())
+	}
+}
+
+// A backticked root-level BENCH*.json snapshot must exist; a glob does
+// not count as a citation.
+func TestMissingBenchSnapshotFails(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "BENCH_ALLOCS.json", "[]\n")
+	write(t, dir, "README.md", "gate: `BENCH_ALLOCS.json` (`./BENCH_ALLOCS.json`), old: `BENCH_OLD.json`, any `BENCH_*.json`\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with a deleted snapshot cited, want 1", code)
+	}
+	if !strings.Contains(out.String(), "README.md:1: missing path `BENCH_OLD.json`") {
+		t.Errorf("deleted snapshot not reported:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), "missing path"); n != 1 {
+		t.Errorf("%d paths reported, want only BENCH_OLD.json:\n%s", n, out.String())
+	}
+}

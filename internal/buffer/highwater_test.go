@@ -149,3 +149,34 @@ func TestPagedBudgetChargesPagesActuallyUsed(t *testing.T) {
 		t.Errorf("high water %v, want one page: the refused fill must not register", st.HighWater)
 	}
 }
+
+// The begin/complete pair at 700 streams on a slowly rising pool: every
+// stream is refilled once per millisecond-spaced rotation with 0.75, 1
+// or 1.25 times (and a hair more) what it consumed, so one fill in three
+// sets a high-water record and walks the 700 streams while the other two
+// are proven under the mark. Neither kind allocates.
+func TestRisingFillCycleAllocFree(t *testing.T) {
+	const n, dt = 700, si.Seconds(0.001)
+	consumed := cr.DataIn(n * dt)
+	p := NewPool(0)
+	for id := 0; id < n; id++ {
+		p.Attach(id, cr, 0)
+		p.BeginFill(id, 3*consumed, 0)
+		p.CompleteFill(id, 0)
+	}
+	start := p.Stats().HighWater
+	i := 0
+	now := si.Seconds(0)
+	allocs := testing.AllocsPerRun(3*n, func() {
+		now += dt
+		p.BeginFill(i%n, consumed*si.Bits(0.7505+0.25*float64(i%3)), now)
+		p.CompleteFill(i%n, now)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("rising fill cycle at depth %d allocates %v objects/op, want 0", n, allocs)
+	}
+	if st := p.Stats(); st.HighWater <= start || st.Underruns != 0 {
+		t.Errorf("high-water %v from %v with %d underruns: want a rising pool that never runs dry", st.HighWater, start, st.Underruns)
+	}
+}

@@ -291,3 +291,28 @@ func FuzzRouterAdmit(f *testing.F) {
 		}
 	})
 }
+
+// The router's admission pair — replica lookup, CAS booking, tallies —
+// runs on every connection goroutine and allocates nothing.
+func TestRouteReleaseAllocFree(t *testing.T) {
+	cl, err := New(testConfig(engine.NewVirtualClock(), catalog.Replicated{
+		Base:      catalog.LeastLoaded{},
+		HotTitles: 2, Copies: 2, ColdCopies: 2, GroupSize: 2,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := cl.Router()
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		target, ok := rt.Route(i % 4)
+		if !ok {
+			t.Fatal("router rejected with an idle fleet")
+		}
+		rt.Release(target.Global)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Route+Release allocates %v objects/op, want 0", allocs)
+	}
+}

@@ -67,3 +67,24 @@ func TestTableFootprint(t *testing.T) {
 		t.Errorf("Params() = %+v, want %+v", got, p)
 	}
 }
+
+// The per-fill sizing path — one table lookup — and the Theorem 1
+// recurrence the table memoizes allocate nothing.
+func TestSizingAllocFree(t *testing.T) {
+	p := paperParams()
+	dl := dlRR()
+	tab := NewTable(p, ConstDL(dl))
+	i := 0
+	var sum si.Bits
+	allocs := testing.AllocsPerRun(1000, func() {
+		sum += tab.Size(1+i%p.N, i%8)
+		sum += p.DynamicSize(dl, 1+i%p.N, i%4)
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("Table.Size + DynamicSize allocate %v objects/op, want 0", allocs)
+	}
+	if sum <= 0 {
+		t.Errorf("sizes summed to %v", sum)
+	}
+}

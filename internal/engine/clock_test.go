@@ -716,3 +716,25 @@ func TestVirtualClockLiveChainsOverParkedAllocFree(t *testing.T) {
 		t.Errorf("fired=%d pending=%d far=%d, want the 3,000 parked events alone in the heap under 10 live ones", fired, e.Pending(), len(e.far))
 	}
 }
+
+// A chained timer in After's closure form — every fired event schedules
+// its successor — schedules and fires without allocating once the
+// freelist is warm.
+func TestVirtualClockAfterChainAllocFree(t *testing.T) {
+	e := NewVirtualClock()
+	fired := 0
+	var tick func()
+	tick = func() {
+		fired++
+		e.After(1, tick)
+	}
+	e.After(1, tick)
+	e.Run(e.Now() + 1) // warm the freelist
+	allocs := testing.AllocsPerRun(1000, func() { e.Run(e.Now() + 1) })
+	if allocs != 0 {
+		t.Errorf("chained After: %v allocs/op, want 0", allocs)
+	}
+	if fired != 1002 || e.Pending() != 1 {
+		t.Errorf("fired=%d pending=%d, want 1002 and the chain's next event", fired, e.Pending())
+	}
+}

@@ -232,23 +232,13 @@ func (x *deadlineIndex) check() error {
 // operation mix at a fixed population: fill the index to n streams, then
 // rounds times remove the earliest stream and re-file it behind the rest
 // — each fill completion's remove+insert pair. It returns the final
-// minimum's admission sequence as a checksum. The function exists for
-// the tracked benchmark cases (internal/bench): once the backing arrays
-// hold twice the population they stop growing, so cmd/bench's allocs/op
-// gate pins the steady-state index path to zero allocations.
+// minimum's admission sequence as a checksum, or -1 for n <= 0. The
+// repo benchmark's per-layer probe times it from outside the package;
+// TestDeadlineHeapSteadyStateAllocFree pins the pair it repeats at zero
+// allocations once the backing arrays hold twice the population.
 func DeadlineIndexChurn(n, rounds int) int64 {
-	checksum, _ := LazyStartChurn(n, rounds, 0)
-	return checksum
-}
-
-// LazyStartChurn is DeadlineIndexChurn plus, for w > 0, what a
-// Round-Robin dispatch pays on top of the pair: after each re-file the
-// lazy-start rule is evaluated over the n indexed deadlines at worst
-// service time w, the way rrScheduler.Next does. The sum of the computed
-// starts is a second checksum.
-func LazyStartChurn(n, rounds int, w si.Seconds) (checksum int64, starts si.Seconds) {
 	if n <= 0 {
-		return -1, 0
+		return -1
 	}
 	var idx deadlineIndex
 	deadline := si.Seconds(0)
@@ -264,9 +254,6 @@ func LazyStartChurn(n, rounds int, w si.Seconds) (checksum int64, starts si.Seco
 		seq++
 		st.dlKey, st.admitSeq = deadline, seq
 		idx.insert(st)
-		if w > 0 {
-			starts += idx.lazyStart(w)
-		}
 	}
-	return idx.min().admitSeq, starts
+	return idx.min().admitSeq
 }

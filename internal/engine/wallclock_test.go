@@ -273,3 +273,49 @@ func TestWallClockShardContentionScaling(t *testing.T) {
 		t.Errorf("8-shard speedup %.2fx, want >= 2x over the single-shard baseline", speedup)
 	}
 }
+
+// Eight goroutines scheduling and cancelling far-future timers, all on
+// one shard (the old global-mutex arrangement) or one shard each, stay
+// on the pooled-timer freelist: 400,000 operations allocate less than
+// once per operation — only the goroutines themselves allocate.
+func TestWallShardContendedChurnAllocFree(t *testing.T) {
+	const clients, ops = 8, 400_000
+	for _, tc := range []struct {
+		name  string
+		shard func(g int) int
+	}{
+		{"1 shard", func(int) int { return 0 }},
+		{"8 shards", func(g int) int { return g }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := NewWallClockTick(1, time.Millisecond)
+			defer c.Stop()
+			for g := 0; g < clients; g++ { // warm every shard's pool
+				c.Shard(tc.shard(g)).Schedule(si.Seconds(7200), func() {}).Cancel()
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var wg sync.WaitGroup
+			for g := 0; g < clients; g++ {
+				wg.Add(1)
+				go func(s *WallShard) {
+					defer wg.Done()
+					for i := 0; i < ops/clients; i++ {
+						// Far-future expiries: the drivers never wake to fire.
+						s.Schedule(si.Seconds(7200+i%64), func() {}).Cancel()
+					}
+				}(c.Shard(tc.shard(g)))
+			}
+			wg.Wait()
+			runtime.ReadMemStats(&after)
+			if perOp := (after.Mallocs - before.Mallocs) / ops; perOp != 0 {
+				t.Errorf("contended schedule+cancel allocates %d objects/op, want 0", perOp)
+			}
+			for g := 0; g < clients; g++ {
+				if n := c.Shard(tc.shard(g)).PendingTimers(); n != 0 {
+					t.Errorf("shard %d: %d timers leaked", tc.shard(g), n)
+				}
+			}
+		})
+	}
+}

@@ -8,11 +8,12 @@
 //
 // The hot-path contract is zero allocations and no locks: an Observer
 // callback does a handful of atomic adds and returns. Snapshots — the
-// vodserver stats line, the STATS control-command dump, the loopback
-// benchmark's report — pay the aggregation cost instead, off the
-// serving path. TestCollectorHotPathAllocFree pins the contract, and
-// the bench-smoke CI gate (+10% allocs/op over the committed baseline)
-// keeps the instrumented serving path honest end to end.
+// vodserver stats line, the STATS control-command dump, the repo
+// benchmark's live-loopback report — pay the aggregation cost instead,
+// off the serving path. TestCollectorHotPathAllocFree pins the
+// contract, and cmd/bench's loopback cases (allocs/op gated against
+// BENCH_ALLOCS.json) keep the instrumented serving path honest end to
+// end.
 package livemetrics
 
 import (

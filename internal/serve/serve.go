@@ -37,8 +37,9 @@
 // model instead of OS timer latency (see SERVING.md, "Serving-path
 // performance").
 //
-// cmd/vodserver is the thin binary over this package; internal/bench's
-// loopback cases drive it in-process.
+// cmd/vodserver is the thin binary over this package; cmd/bench's
+// loopback allocation cases and the repo benchmark's live-loopback
+// workload drive it in-process.
 package serve
 
 import (

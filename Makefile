@@ -3,13 +3,19 @@
 
 GO ?= go
 
-.PHONY: build vet test race bench bench-smoke bench-snapshot bench-harness test-fuzz cover docs-check ci
+.PHONY: build vet fmt-check test race bench bench-smoke bench-snapshot bench-harness test-fuzz cover docs-check ci
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Formatting gate: every tracked Go file, benchmark/ included (read only),
+# must be gofmt-clean. Prints the offending files and fails.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -84,4 +90,4 @@ bench-harness:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-ci: vet build test race bench-smoke bench-harness cover docs-check
+ci: vet fmt-check build test race bench-smoke bench-harness cover docs-check

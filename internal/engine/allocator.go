@@ -148,14 +148,14 @@ func (DybaseAllocator) PlanSize(d *Disk, n int) si.Bits {
 // Admit always accepts: DYBASE has no runtime enforcement.
 func (DybaseAllocator) Admit(d *Disk, n int) bool { return true }
 
-// KneeAllocator is the memory-knee-aware fourth scheme (ROADMAP item 3):
-// the dynamic scheme's sizing and enforcement with admission capped near
-// the Theorem 1 memory knee — by default half the disk's stream capacity
-// and half its transfer rate — so the disk never climbs the steep half of
-// the memory curve. It trades peak concurrency
-// for per-stream buffers an order of magnitude smaller near the cap, and
-// pairs naturally with downgrading admission: capped capacity converts
-// into lower rungs instead of rejections.
+// KneeAllocator is the memory-knee-aware fourth scheme (DESIGN.md §7, the
+// memory knee): the dynamic scheme's sizing and enforcement with admission
+// capped near the Theorem 1 memory knee — by default half the disk's
+// stream capacity and half its transfer rate — so the disk never climbs
+// the steep half of the memory curve. It trades peak concurrency for
+// per-stream buffers an order of magnitude smaller near the cap, and pairs
+// naturally with downgrading admission: capped capacity converts into
+// lower rungs instead of rejections.
 type KneeAllocator struct {
 	DynamicAllocator
 

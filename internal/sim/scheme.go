@@ -24,12 +24,12 @@ const (
 	// to demonstrate the underruns the paper predicts.
 	Naive
 
-	// Knee is the memory-knee-aware fourth scheme (ROADMAP item 3): the
-	// dynamic scheme with admission capped at half the disk's capacity —
-	// the Theorem 1 memory knee — trading peak concurrency for an
-	// order-of-magnitude smaller per-stream memory near the cap. It
-	// pairs with downgrading admission, which converts the capped
-	// capacity into lower ladder rungs instead of rejections.
+	// Knee is the memory-knee-aware fourth scheme (DESIGN.md §7, the
+	// memory knee): the dynamic scheme with admission capped at half the
+	// disk's capacity — the Theorem 1 memory knee — trading peak
+	// concurrency for an order-of-magnitude smaller per-stream memory near
+	// the cap. It pairs with downgrading admission, which converts the
+	// capped capacity into lower ladder rungs instead of rejections.
 	Knee
 )
 

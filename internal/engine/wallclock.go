@@ -29,6 +29,14 @@ import (
 //
 // For callers that need a plain Clock (single-disk demos, tests), the
 // WallClock itself implements Clock and Do by delegating to shard 0.
+//
+// Timing: a callback fires on the first wheel tick at or after its
+// instant, plus the time its driver takes to wake. Each driver sleeps on
+// a time.Timer and, on Linux, on a timerfd armed for the same instant
+// (see WallShard.drive): the runtime rounds any timer wait under 1 ms up
+// to 1 ms once the process is idle, and the timerfd is what lets a
+// sub-millisecond tick be met there. Elsewhere the floor stands, and a
+// tick finer than 1 ms buys nothing in an idle process.
 type WallClock struct {
 	epoch time.Time
 	scale float64
@@ -45,7 +53,10 @@ type WallClock struct {
 
 // DefaultWallTick is the wall-time granularity of the shard timer
 // wheels: callbacks fire on the first tick boundary at or after their
-// scheduled instant.
+// scheduled instant. The wait for the next boundary is usually shorter
+// than a tick, and the Go runtime rounds an idle process's timer waits
+// up to 1 ms, so even this tick is met only with the driver's timerfd
+// wake (Linux); finer ticks (NewWallClockTick) depend on it entirely.
 const DefaultWallTick = time.Millisecond
 
 // NewWallClock returns a wall clock whose time starts at zero now and
@@ -685,9 +696,19 @@ func (s *WallShard) fire(batch *wallTimer) {
 // drive is the shard's driver goroutine: advance the wheel to wall time,
 // fire what expired, sleep until the next pending tick (or a kick, when
 // a schedule lands earlier than the planned wake-up).
+//
+// The sleep has two alarms set to the same instant, and the first to
+// fire wins. The time.Timer is on time while the process is busy: the
+// runtime runs expired timers on every scheduling pass. But once every
+// goroutine is parked, the runtime sleeps in the netpoller, which rounds
+// a wait under 1 ms up to 1 ms, so a 100 µs tick would fire a whole
+// millisecond late. The shard's wake (a timerfd on Linux, nil elsewhere)
+// covers that case: its expiry is netpoller I/O, reported at once.
 func (s *WallShard) drive() {
 	t := time.NewTimer(time.Hour)
 	defer t.Stop()
+	w := newShardWake()
+	defer w.close()
 	for {
 		s.wmu.Lock()
 		batch := s.advanceLocked(s.clock.tickNow())
@@ -718,13 +739,31 @@ func (s *WallShard) drive() {
 			}
 		}
 		t.Reset(wait)
+		if ok {
+			w.arm(wait)
+		}
 		select {
 		case <-t.C:
 			if ok {
+				w.stop()
 				// Lag: how far past the planned tick the OS woke us.
 				s.noteLag(-s.clock.untilTick(next))
 			}
+		case <-w.c():
+			// A one-shot timerfd that fired is already disarmed. An
+			// expiry the reader posted just after a stop drained the
+			// channel can still arrive, even with nothing planned (!ok):
+			// it costs one extra pass of the loop.
+			if !t.Stop() {
+				<-t.C
+			}
+			if ok {
+				s.noteLag(-s.clock.untilTick(next))
+			}
 		case <-s.kick:
+			if ok {
+				w.stop()
+			}
 			if !t.Stop() {
 				<-t.C
 			}

@@ -71,20 +71,22 @@ const Patience = si.Seconds(100)
 // Config.JitterComp is on and no explicit cap is given: timers may fire
 // at most this much wall time early. Ten milliseconds covers the
 // scheduler wakeup latency a loaded CFS runner actually exhibits (the
-// lag estimate under the loopback bench sits at 2–5 ms and the aim
-// doubles it); on a quiet machine the estimate stays tens of
-// microseconds and the clamp never binds, so timers hold near their
-// nominal deadlines.
+// lag estimate under the loopback benchmark still reads about 2 ms:
+// the estimator keeps the recent worst case, so occasional spikes hold
+// it up, and the aim doubles it).
 const DefaultJitterCompMax = 10 * time.Millisecond
 
 // JitterCompTick is the wall-clock wheel tick a jitter-compensated
 // server runs on. The default millisecond wheel quantizes every timer
 // hop to >= 1 ms — at -scale 1200 that is 1.2 engine seconds per hop,
 // which alone swamps the model's 1 ms underrun tolerance no matter how
-// well lag is predicted. A 100 µs wheel puts the tick well under
-// typical OS wakeup lag, so the EWMA compensation (which aims in whole
-// wall time, then floors to the tick) has the resolution to actually
-// land timers at their requested instants.
+// well lag is predicted. A 100 µs wheel gives the EWMA compensation
+// (which aims in whole wall time, then floors to the tick) the
+// resolution to land timers at their requested instants. What delivers
+// that resolution is each shard's timerfd wake (Linux only, see
+// engine.WallClock): the Go runtime rounds an idle process's timer
+// waits up to 1 ms, so on a time.Timer alone a 100 µs hop would still
+// take a millisecond whenever the server goes idle between fills.
 const JitterCompTick = 100 * time.Microsecond
 
 // Config parameterizes a Server. The zero value is not valid; use the

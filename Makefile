@@ -79,14 +79,16 @@ bench-snapshot:
 # keeps a signature change in the packages it measures from breaking it
 # unnoticed. The short untraced runs then apply the benchmark's own
 # correctness checks: a workload's digest must repeat from iteration to
-# iteration (the depth-700 run and the paper day), and at seed 1 one
+# iteration (the depth-700 run and the paper day), at seed 1 one
 # figure-grid pass must render all five reports that have a committed
 # golden byte for byte (~6 s whatever --seconds says: a pass is not cut
-# short). A change that makes a simulation irreproducible, or moves a
-# figure, fails here, before any paired measurement.
+# short), and the live loopback must finish every session it starts on
+# the wall clock with none failed. A change that makes a simulation
+# irreproducible, moves a figure, or breaks the live path fails here,
+# before any paired measurement.
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
-	@for w in scale-peak paper-day figure-grid; do \
+	@for w in scale-peak paper-day figure-grid live-loopback; do \
 		echo "benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0"; \
 		bash benchmark/run.sh --workload $$w --seed 1 --seconds 2 --trace 0 | grep '"correct":true' \
 			|| { echo "bench-harness: $$w did not report \"correct\":true"; exit 1; }; \

@@ -8,7 +8,7 @@ import (
 )
 
 // The pool is single-owner: in the engine every caller holds the clock
-// lock (engine.WallClock.Do or an Observer callback) before touching it.
+// lock (engine.WallShard.Do or an Observer callback) before touching it.
 // This test reproduces that discipline — many goroutines, one mutex, a
 // monotone shared clock — and lets the race detector prove the contract
 // is sufficient: no torn state, no backward-time panics, books balanced.

@@ -9,8 +9,9 @@ import (
 // what size worst-case service planning should assume, and whether the
 // scheme's admission rules allow one more request. The paper's three
 // schemes — static (Section 2.3), dynamic (Section 3, the contribution),
-// and the naive strawman (Section 3.1) — plus the DYBASE precursor are
-// provided; an Allocator is chosen per engine System via Config.
+// and the naive strawman (Section 3.1) — are provided, plus the
+// memory-knee cap on the dynamic scheme; an Allocator is chosen per
+// engine System via Config.
 //
 // Size may record per-allocation bookkeeping on the disk (the dynamic
 // scheme's inertia snapshot and prediction-success entry); Admit and
@@ -104,15 +105,6 @@ func (DynamicAllocator) Admit(d *Disk, n int) bool {
 	return d.budget == nil || core.AdmitBudget(d.budget, d.admits)
 }
 
-// estimateSize is Size for the two schemes that size from the estimate
-// alone, with no enforcement: formula f at the estimate kc.
-func estimateSize(d *Disk, st *Stream, n int, f formula) si.Bits {
-	kc := d.Estimate(n)
-	size := d.sizeAt(st.ctx, f, 0, kc)
-	d.recordEstimate(size, kc)
-	return size
-}
-
 // NaiveAllocator is the flawed strawman of Section 3.1: Eq. 5 evaluated at
 // n+k with no recurrence and no enforcement. It underruns under rising
 // load — the failure (Fig. 3) that motivates the dynamic scheme.
@@ -120,33 +112,18 @@ type NaiveAllocator struct{}
 
 // Size evaluates Eq. 5 directly at n+kc — the flaw: no recurrence, so a
 // stream sized now is not protected against arrivals sized later.
-func (NaiveAllocator) Size(d *Disk, st *Stream, n int) si.Bits { return estimateSize(d, st, n, eq5) }
+func (NaiveAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
+	kc := d.Estimate(n)
+	size := d.sizeAt(st.ctx, eq5, 0, kc)
+	d.recordEstimate(size, kc)
+	return size
+}
 
 // PlanSize mirrors Size for sweep planning.
 func (NaiveAllocator) PlanSize(d *Disk, n int) si.Bits { return d.planOverLive(eq5, 0, d.Estimate(n)) }
 
 // Admit always accepts — the absent enforcement is the point.
 func (NaiveAllocator) Admit(d *Disk, n int) bool { return true }
-
-// DybaseAllocator sizes by the DYBASE recurrence (the paper's cited
-// precursor, Information Sciences 137, 2001): Theorem 1's chain with k
-// held constant instead of growing by alpha per step, and no runtime
-// enforcement. It sits between the naive and dynamic schemes and exists
-// for comparison runs.
-type DybaseAllocator struct{}
-
-// Size evaluates the DYBASE recurrence at (n, kc).
-func (DybaseAllocator) Size(d *Disk, st *Stream, n int) si.Bits {
-	return estimateSize(d, st, n, dybase)
-}
-
-// PlanSize mirrors Size for sweep planning.
-func (DybaseAllocator) PlanSize(d *Disk, n int) si.Bits {
-	return d.planOverLive(dybase, 0, d.Estimate(n))
-}
-
-// Admit always accepts: DYBASE has no runtime enforcement.
-func (DybaseAllocator) Admit(d *Disk, n int) bool { return true }
 
 // KneeAllocator is the memory-knee-aware fourth scheme (DESIGN.md §7, the
 // memory knee): the dynamic scheme's sizing and enforcement with admission

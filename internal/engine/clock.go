@@ -48,7 +48,7 @@ type Clock interface {
 //     deterministic event loop for every disk, which is what keeps
 //     simulation output byte-identical (one global (time, seq) order).
 //   - WallClock is a sharded domain: DiskClock returns an independent
-//     WallShard per disk, each with its own lock and timer wheel, so live
+//     WallShard per disk, each with its own lock and timer heap, so live
 //     traffic on one disk never contends on another disk's lock.
 //
 // The serialization contract is per shard: two disks mapped to different

@@ -218,9 +218,10 @@ func TestWallClockScaledNow(t *testing.T) {
 
 func TestWallClockAfterFiresUnderLock(t *testing.T) {
 	c := NewWallClock(1000)
+	s := c.Shard(0)
 	done := make(chan si.Seconds, 1)
-	c.Do(func() {
-		c.After(10, func() { done <- c.Now() })
+	s.Do(func() {
+		s.After(10, func() { done <- c.Now() })
 	})
 	select {
 	case at := <-done:
@@ -236,7 +237,8 @@ func TestWallClockCancel(t *testing.T) {
 	c := NewWallClock(1000)
 	fired := make(chan struct{}, 1)
 	var tm Timer
-	c.Do(func() { tm = c.After(50, func() { fired <- struct{}{} }) })
+	s := c.Shard(0)
+	s.Do(func() { tm = s.After(50, func() { fired <- struct{}{} }) })
 	tm.Cancel()
 	(*wallTimer)(nil).cancel(0)
 	select {
@@ -250,7 +252,8 @@ func TestWallClockSchedulePastClampsToNow(t *testing.T) {
 	c := NewWallClock(1000)
 	time.Sleep(2 * time.Millisecond) // Now() is past 0 already
 	done := make(chan struct{}, 1)
-	c.Do(func() { c.Schedule(0, func() { done <- struct{}{} }) })
+	s := c.Shard(0)
+	s.Do(func() { s.Schedule(0, func() { done <- struct{}{} }) })
 	select {
 	case <-done:
 	case <-time.After(time.Second):
@@ -261,7 +264,7 @@ func TestWallClockSchedulePastClampsToNow(t *testing.T) {
 // Callbacks and Do calls are mutually serialized: a counter incremented
 // non-atomically from both never tears under the race detector.
 func TestWallClockSerialization(t *testing.T) {
-	c := NewWallClock(10000)
+	s := NewWallClock(10000).Shard(0)
 	count := 0
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -269,17 +272,17 @@ func TestWallClockSerialization(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				c.Do(func() { count++ })
+				s.Do(func() { count++ })
 			}
 		}()
 	}
 	fired := make(chan struct{})
-	c.Do(func() {
-		c.After(1, func() { count++; close(fired) })
+	s.Do(func() {
+		s.After(1, func() { count++; close(fired) })
 	})
 	wg.Wait()
 	<-fired
-	c.Do(func() {
+	s.Do(func() {
 		if count != 8*50+1 {
 			t.Errorf("count = %d, want %d", count, 8*50+1)
 		}

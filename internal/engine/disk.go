@@ -865,8 +865,8 @@ func (d *Disk) sizeAt(c *rateCtx, f formula, floor, k int) si.Bits {
 	switch f {
 	case fullLoad:
 		return c.staticSize
-	case eq5, dybase:
-		t = d.sys.lazyTable(c, f)
+	case eq5:
+		t = d.sys.lazyTable(c)
 	}
 	return t.Size(d.effLoad(c, floor), k)
 }

@@ -15,7 +15,7 @@
 //
 // The pluggable pieces are the Clock (virtual or scaled wall time), the
 // Scheduler (Round-Robin/BubbleUp, Sweep*, GSS* — Section 2.2), the
-// Allocator (static, dynamic, naive, DYBASE — Sections 2.3 and 3), the
+// Allocator (static, dynamic, naive, memory-knee — Sections 2.3 and 3), the
 // Observer instrumentation fan-out, and an optional admission Gate (the
 // capacity experiments' shared-memory governor). Everything else — the
 // per-disk service loop, the deferral queue, the prediction-estimate
@@ -76,7 +76,7 @@ type Config struct {
 	// Rates lists the additional per-stream consumption rates the system
 	// must be able to serve: the union of the library's ladder rungs.
 	// Each distinct rate, CR first, gets its own sizing context (DeriveN,
-	// the Theorem 1 table, and the Eq. 5 and DYBASE tables on first use);
+	// the Theorem 1 table, and the Eq. 5 table on first use);
 	// duplicates and rates equal to CR add none. The paper's uniform-rate
 	// regime is simply the one-context case of the same code. An arrival
 	// at a rate with no context is rejected (RejectRate).
@@ -222,29 +222,27 @@ type System struct {
 }
 
 // formula names what sizes a buffer: one of a rate context's sizing
-// tables, or its full-load constant. The formulas before theorem1 index
-// rateCtx.lazy and lazySize.
+// tables, or its full-load constant.
 type formula int
 
 const (
 	eq5      formula = iota // the naive scheme: Eq. 5 at n+k
-	dybase                  // the DYBASE recurrence
 	theorem1                // the dynamic scheme's recurrence (Section 3.2)
 	fullLoad                // the static scheme: BS(N) at any load
 )
 
 // rateCtx is one consumption rate's sizing context: its derived
 // parameters (own N = DeriveN(TR, rate)), its full-load size and its
-// sizing tables. The comparison schemes' tables (eq5, dybase) are built on
-// first use, under a Once because disks on different shards of a
-// multi-shard clock domain race to trigger them.
+// sizing tables. The naive scheme's Eq. 5 table is built on first use,
+// under a Once because disks on different shards of a multi-shard clock
+// domain race to trigger it.
 type rateCtx struct {
 	idx        int // position in System.ctxs; indexes Disk.rateLive
 	rate       si.BitRate
 	params     core.Params
 	staticSize si.Bits
 	table      *core.Table // Theorem 1, built at construction
-	lazy       [theorem1]struct {
+	lazy       struct {    // Eq. 5, built on first use
 		once sync.Once
 		tab  *core.Table
 	}
@@ -375,17 +373,11 @@ func (sys *System) ctxFor(rate si.BitRate) *rateCtx {
 	return nil
 }
 
-// lazySize is the sizing function behind each table built on first use.
-var lazySize = [theorem1]func(core.Params, si.Seconds, int, int) si.Bits{
-	eq5: core.Params.NaiveSize, dybase: core.Params.DybaseSize,
-}
-
-// lazyTable returns c's table for a comparison scheme's formula (eq5 or
-// dybase), building it on first use.
-func (sys *System) lazyTable(c *rateCtx, f formula) *core.Table {
-	l := &c.lazy[f]
+// lazyTable returns c's Eq. 5 table, building it on first use.
+func (sys *System) lazyTable(c *rateCtx) *core.Table {
+	l := &c.lazy
 	l.once.Do(func() {
-		l.tab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), lazySize[f])
+		l.tab = core.NewTableWith(c.params, sys.cfg.Method.DLModel(sys.cfg.Spec), core.Params.NaiveSize)
 	})
 	return l.tab
 }

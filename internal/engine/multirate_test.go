@@ -44,7 +44,7 @@ func TestMultiRatePlanSizeAllocFree(t *testing.T) {
 		d := loadedDisk(t, ladder, nil)
 		n := d.InService()
 		allocators := []Allocator{
-			StaticAllocator{}, DynamicAllocator{}, NaiveAllocator{}, DybaseAllocator{},
+			StaticAllocator{}, DynamicAllocator{}, NaiveAllocator{},
 		}
 		for _, a := range allocators {
 			a.PlanSize(d, n) // warm the lazily built per-rate tables

@@ -133,7 +133,7 @@ func (l *eventLog) OnDepart(d int, st *Stream, now si.Seconds) {
 // allocator.
 func TestExplicitBaseRateDayMatchesImplicit(t *testing.T) {
 	cr := si.Mbps(1.5)
-	for _, alloc := range []Allocator{StaticAllocator{}, DynamicAllocator{}, NaiveAllocator{}, DybaseAllocator{}} {
+	for _, alloc := range []Allocator{StaticAllocator{}, DynamicAllocator{}, NaiveAllocator{}} {
 		var logs [2]eventLog
 		for i := range logs {
 			sys := ladderSystem(t, alloc, []si.BitRate{cr}, func(c *Config) { c.Observer = &logs[i] })

@@ -1,8 +1,8 @@
 package engine
 
 import (
+	"container/heap"
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,8 +17,8 @@ import (
 // compress time with scale 60 and up).
 //
 // The clock is sharded: DiskClock(i) returns an independent WallShard
-// per disk, each with its own engine lock and hierarchical timer wheel,
-// so timers and callbacks on one disk never contend with another disk's.
+// per disk, each with its own engine lock and timer heap, so timers and
+// callbacks on one disk never contend with another disk's.
 // Timers are pooled on a per-shard freelist with generation-checked
 // handles — the live path allocates nothing per schedule in steady state.
 //
@@ -27,10 +27,7 @@ import (
 // — wrap each call into a Disk in its shard's Do. Distinct shards run
 // concurrently; state spanning disks must be safe for that.
 //
-// For callers that need a plain Clock (single-disk demos, tests), the
-// WallClock itself implements Clock and Do by delegating to shard 0.
-//
-// Timing: a callback fires on the first wheel tick at or after its
+// Timing: a callback fires on the first tick at or after its
 // instant, plus the time its driver takes to wake. Each driver sleeps on
 // a time.Timer and, on Linux, on a timerfd armed for the same instant
 // (see WallShard.drive): the runtime rounds any timer wait under 1 ms up
@@ -51,8 +48,8 @@ type WallClock struct {
 	shards []*WallShard
 }
 
-// DefaultWallTick is the wall-time granularity of the shard timer
-// wheels: callbacks fire on the first tick boundary at or after their
+// DefaultWallTick is the wall-time granularity of the shard timers:
+// callbacks fire on the first tick boundary at or after their
 // scheduled instant. The wait for the next boundary is usually shorter
 // than a tick, and the Go runtime rounds an idle process's timer waits
 // up to 1 ms, so even this tick is met only with the driver's timerfd
@@ -60,14 +57,13 @@ type WallClock struct {
 const DefaultWallTick = time.Millisecond
 
 // NewWallClock returns a wall clock whose time starts at zero now and
-// advances scale engine seconds per wall second, with the default wheel
-// tick.
+// advances scale engine seconds per wall second, with the default tick.
 func NewWallClock(scale float64) *WallClock {
 	return NewWallClockTick(scale, DefaultWallTick)
 }
 
-// NewWallClockTick is NewWallClock with an explicit wheel tick, for
-// callers that trade timer-wheel overhead against firing granularity.
+// NewWallClockTick is NewWallClock with an explicit tick, for callers
+// that trade driver wake-ups against firing granularity.
 func NewWallClockTick(scale float64, tick time.Duration) *WallClock {
 	if scale <= 0 {
 		panic(fmt.Sprintf("engine: non-positive wall clock scale %v", scale))
@@ -83,7 +79,7 @@ func (c *WallClock) Scale() float64 { return c.scale }
 
 // SetJitterComp enables (max > 0) or disables (max <= 0) the
 // jitter-compensating deadline scheduler. With compensation on, each
-// shard aims a timer at the last wheel tick at or before the requested
+// shard aims a timer at the last tick at or before the requested
 // instant minus twice the shard's smoothed observed lag — the wall time
 // between a timer's aimed tick and the moment its callback actually
 // began executing — the whole back-off clamped to max. That inverts
@@ -106,7 +102,7 @@ func (c *WallClock) Scale() float64 { return c.scale }
 // charging OS latency to the paper's admission model.
 //
 // Safe to call at any time, including while shards are running; timers
-// already on the wheel keep their uncompensated expiry.
+// already queued keep their uncompensated expiry.
 func (c *WallClock) SetJitterComp(max time.Duration) { c.jcMax.Store(int64(max)) }
 
 // JitterComp reports the configured compensation clamp (0 = disabled).
@@ -167,33 +163,7 @@ func (c *WallClock) Stop() {
 	}
 }
 
-// Schedule and friends let a WallClock double as a plain Clock for
-// single-disk callers: they delegate to shard 0, as does Do.
-
-// Schedule registers fn to run at engine time at on shard 0.
-func (c *WallClock) Schedule(at si.Seconds, fn func()) Timer {
-	return c.Shard(0).Schedule(at, fn)
-}
-
-// After schedules fn on shard 0 to run delay engine seconds from now.
-func (c *WallClock) After(delay si.Seconds, fn func()) Timer {
-	return c.Shard(0).After(delay, fn)
-}
-
-// ScheduleFunc registers the pre-bound callback fn(arg) on shard 0.
-func (c *WallClock) ScheduleFunc(at si.Seconds, fn func(arg any), arg any) Timer {
-	return c.Shard(0).ScheduleFunc(at, fn, arg)
-}
-
-// AfterFunc schedules fn(arg) on shard 0 delay engine seconds from now.
-func (c *WallClock) AfterFunc(delay si.Seconds, fn func(arg any), arg any) Timer {
-	return c.Shard(0).AfterFunc(delay, fn, arg)
-}
-
-// Do runs fn with shard 0's engine lock held.
-func (c *WallClock) Do(fn func()) { c.Shard(0).Do(fn) }
-
-// tickNow reports the current absolute wheel tick.
+// tickNow reports the current absolute tick.
 func (c *WallClock) tickNow() uint64 {
 	return uint64(time.Since(c.epoch) / c.tick)
 }
@@ -230,17 +200,7 @@ func (c *WallClock) untilTick(tk uint64) time.Duration {
 	return time.Duration(tk)*c.tick - time.Since(c.epoch)
 }
 
-// The wheel has 4 levels of 64 slots. At the default 1ms tick, level 0
-// spans 64ms at tick resolution and the wheel covers ~4.7h; farther
-// expiries park in the top level and re-cascade.
-const (
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
-)
-
-// WallShard is one disk's clock: a hierarchical timer wheel plus the
+// WallShard is one disk's clock: a min-heap of pending timers plus the
 // lock that serializes the disk's callbacks. It implements Clock.
 //
 // Two locks, ordered mu → wmu:
@@ -248,7 +208,7 @@ const (
 //   - mu is the engine lock, held across every fired callback and Do.
 //     It serializes the disk's state machine exactly as the old global
 //     WallClock mutex did — per shard instead of per process.
-//   - wmu is the wheel lock, guarding the timer structure. Schedule and
+//   - wmu is the timer lock, guarding the timer heap. Schedule and
 //     Cancel take only wmu, so they never wait on a running callback —
 //     a callback (holding mu) can schedule without self-deadlock, and
 //     other goroutines can schedule while a callback runs.
@@ -258,13 +218,12 @@ type WallShard struct {
 
 	mu sync.Mutex // engine lock: held across callbacks and Do
 
-	wmu      sync.Mutex // wheel lock: guards all fields below
+	wmu      sync.Mutex // timer lock: guards all fields below
 	cur      uint64     // last processed tick
 	nextWake uint64     // tick the driver will wake at (^0 when idle)
-	slots    [wheelLevels][wheelSlots]wallSlot
-	occupied [wheelLevels]uint64 // bitmap of non-empty slots per level
+	timers   timerHeap  // queued (not yet fired or canceled) timers
+	seq      uint64     // scheduling counter: the same-tick tie-break
 	free     []*wallTimer
-	pending  int // queued (not yet fired or canceled) timers
 
 	kick chan struct{} // wakes the driver when an earlier timer lands
 	done chan struct{}
@@ -276,31 +235,62 @@ type WallShard struct {
 	lagEWMA atomic.Int64
 }
 
-// wallSlot is one wheel slot: a FIFO list of timers, so same-tick
-// callbacks fire in scheduling order.
-type wallSlot struct {
-	head, tail *wallTimer
-}
-
-// wallTimer is a pooled timer on a shard's wheel. All fields are guarded
+// wallTimer is a pooled timer on a shard's heap. All fields are guarded
 // by the shard's wmu; the generation bump on release makes stale Timer
 // handles harmless, exactly like VirtualClock events.
 type wallTimer struct {
-	shard      *WallShard
-	gen        uint64
-	expiry     uint64 // absolute tick
-	lvl, idx   uint8  // wheel position while queued
-	queued     bool
-	canceled   bool
-	fn         func()
-	afn        func(arg any)
-	arg        any
-	prev, next *wallTimer
+	shard    *WallShard
+	gen      uint64
+	expiry   uint64 // absolute tick
+	seq      uint64 // scheduling order within the shard
+	index    int    // position in the shard's heap; -1 when not queued
+	canceled bool
+	fn       func()
+	afn      func(arg any)
+	arg      any
+	next     *wallTimer // links a fired batch
+}
+
+// timerHeap orders a shard's queued timers by (expiry tick, scheduling
+// seq): the earliest tick first, and same-tick timers in scheduling
+// order. Each timer tracks its own index, so a cancel removes it at once.
+type timerHeap []*wallTimer
+
+func (h timerHeap) Len() int { return len(h) }
+
+func (h timerHeap) Less(i, j int) bool {
+	if h[i].expiry != h[j].expiry {
+		return h[i].expiry < h[j].expiry
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h timerHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].index = i
+	h[j].index = j
+}
+
+func (h *timerHeap) Push(x any) {
+	wt := x.(*wallTimer)
+	wt.index = len(*h)
+	*h = append(*h, wt)
+}
+
+func (h *timerHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	wt := old[n]
+	old[n] = nil
+	*h = old[:n]
+	wt.index = -1
+	return wt
 }
 
 // cancel marks the timer canceled if gen still identifies the scheduling
-// that issued the handle. A queued timer is unlinked and recycled; one
-// already popped by the driver fires into the canceled check instead.
+// that issued the handle. A queued timer leaves the heap and is recycled
+// at once; one already popped by the driver fires into the canceled
+// check instead.
 func (wt *wallTimer) cancel(gen uint64) {
 	if wt == nil {
 		return
@@ -309,8 +299,8 @@ func (wt *wallTimer) cancel(gen uint64) {
 	s.wmu.Lock()
 	if wt.gen == gen && !wt.canceled {
 		wt.canceled = true
-		if wt.queued {
-			s.unlinkLocked(wt)
+		if wt.index >= 0 {
+			heap.Remove(&s.timers, wt.index)
 			s.releaseLocked(wt)
 		}
 	}
@@ -378,7 +368,7 @@ func (s *WallShard) AfterFunc(delay si.Seconds, fn func(arg any), arg any) Timer
 
 // WakeupLag reports the shard's smoothed observed lag: how late, in
 // wall time, the shard's timer callbacks have recently begun executing
-// relative to their aimed wheel ticks (with compensation off, how late
+// relative to their aimed ticks (with compensation off, how late
 // the driver has been to its planned wake-ups).
 func (s *WallShard) WakeupLag() time.Duration {
 	return time.Duration(s.lagEWMA.Load())
@@ -387,7 +377,7 @@ func (s *WallShard) WakeupLag() time.Duration {
 // Compensation reports how much wall time the shard currently backs
 // its timers off by: twice its lag estimate clamped to the clock's
 // jitter-comp bound, or 0 with compensation disabled. (On top of this,
-// an armed shard also floors the aim point to the wheel tick — see
+// an armed shard also floors the aim point to the tick — see
 // SetJitterComp.) This is the value the serving path exports as a live
 // gauge.
 func (s *WallShard) Compensation() time.Duration { return s.compensation() }
@@ -428,7 +418,7 @@ func (s *WallShard) compensation() time.Duration {
 func (s *WallShard) PendingTimers() int {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	return s.pending
+	return len(s.timers)
 }
 
 // FreeListLen reports the number of recycled timers available for reuse
@@ -456,9 +446,10 @@ func (s *WallShard) schedule(at si.Seconds, fn func(), afn func(any), arg any) T
 		exp = s.cur + 1 // past or current tick: fire on the next advance
 	}
 	wt := s.allocLocked()
-	wt.expiry = exp
+	wt.expiry, wt.seq = exp, s.seq
+	s.seq++
 	wt.fn, wt.afn, wt.arg = fn, afn, arg
-	s.insertLocked(wt)
+	heap.Push(&s.timers, wt)
 	gen := wt.gen
 	// Wake the driver only when this timer lands before its planned
 	// wake-up; claiming nextWake here keeps schedule bursts to one kick.
@@ -484,7 +475,7 @@ func (s *WallShard) allocLocked() *wallTimer {
 		s.free = s.free[:n-1]
 		return wt
 	}
-	return &wallTimer{shard: s}
+	return &wallTimer{shard: s, index: -1}
 }
 
 // releaseLocked returns a fired or canceled timer to the freelist. The
@@ -493,168 +484,39 @@ func (s *WallShard) releaseLocked(wt *wallTimer) {
 	wt.gen++
 	wt.fn, wt.afn, wt.arg = nil, nil, nil
 	wt.canceled = false
-	wt.queued = false
-	wt.prev, wt.next = nil, nil
+	wt.next = nil
 	s.free = append(s.free, wt)
 }
 
-// insertLocked files wt into the wheel by its expiry's distance from the
-// current tick. Expiries beyond the wheel's span park in the top level
-// and re-cascade until they come into range.
-func (s *WallShard) insertLocked(wt *wallTimer) {
-	delta := wt.expiry - s.cur // caller guarantees expiry > cur
-	exp := wt.expiry
-	var lvl int
-	switch {
-	case delta < 1<<wheelBits:
-		lvl = 0
-	case delta < 1<<(2*wheelBits):
-		lvl = 1
-	case delta < 1<<(3*wheelBits):
-		lvl = 2
-	default:
-		lvl = 3
-		if delta >= 1<<(4*wheelBits) {
-			exp = s.cur + 1<<(4*wheelBits) - 1
-		}
-	}
-	idx := (exp >> (wheelBits * lvl)) & wheelMask
-	wt.lvl, wt.idx = uint8(lvl), uint8(idx)
-	wt.queued = true
-	slot := &s.slots[lvl][idx]
-	wt.prev, wt.next = slot.tail, nil
-	if slot.tail != nil {
-		slot.tail.next = wt
-	} else {
-		slot.head = wt
-	}
-	slot.tail = wt
-	s.occupied[lvl] |= 1 << idx
-	s.pending++
-}
-
-// unlinkLocked removes a queued timer from its slot.
-func (s *WallShard) unlinkLocked(wt *wallTimer) {
-	slot := &s.slots[wt.lvl][wt.idx]
-	if wt.prev != nil {
-		wt.prev.next = wt.next
-	} else {
-		slot.head = wt.next
-	}
-	if wt.next != nil {
-		wt.next.prev = wt.prev
-	} else {
-		slot.tail = wt.prev
-	}
-	if slot.head == nil {
-		s.occupied[wt.lvl] &^= 1 << wt.idx
-	}
-	wt.prev, wt.next = nil, nil
-	wt.queued = false
-	s.pending--
-}
-
-// popSlotLocked detaches a slot's whole FIFO list and returns its head.
-func (s *WallShard) popSlotLocked(lvl, idx uint64) *wallTimer {
-	slot := &s.slots[lvl][idx]
-	head := slot.head
-	for wt := head; wt != nil; wt = wt.next {
-		wt.queued = false
-		s.pending--
-	}
-	slot.head, slot.tail = nil, nil
-	s.occupied[lvl] &^= 1 << idx
-	return head
-}
-
-// nextPendingTickLocked reports the earliest tick at which the driver
-// must act: a level-0 slot expiring, or a higher-level slot reaching its
-// cascade boundary.
+// nextPendingTickLocked reports the earliest queued expiry.
 func (s *WallShard) nextPendingTickLocked() (uint64, bool) {
-	best := ^uint64(0)
-	found := false
-	for lvl := 0; lvl < wheelLevels; lvl++ {
-		bm := s.occupied[lvl]
-		for bm != 0 {
-			idx := uint64(bits.TrailingZeros64(bm))
-			bm &= bm - 1
-			// Slot idx at level L acts when cur next hits a tick that is
-			// idx in that level's digit and zero in all lower digits.
-			span := uint64(1) << (wheelBits * (lvl + 1))
-			t := (s.cur &^ (span - 1)) | (idx << (wheelBits * lvl))
-			if t <= s.cur {
-				t += span
-			}
-			if t < best {
-				best, found = t, true
-			}
-		}
+	if len(s.timers) == 0 {
+		return 0, false
 	}
-	return best, found
+	return s.timers[0].expiry, true
 }
 
-// advanceLocked processes wheel time up to now: cascades higher-level
-// slots whose block begins and collects expired level-0 slots, in tick
-// order with FIFO order within a tick. Returns the batch to fire, linked
-// by next.
+// advanceLocked moves the shard's current tick up to now and pops every
+// timer due by then, in (tick, scheduling) order. Returns the batch to
+// fire, linked by next.
 func (s *WallShard) advanceLocked(now uint64) *wallTimer {
 	var head, tail *wallTimer
-	appendRun := func(h *wallTimer) {
-		if h == nil {
-			return
-		}
+	for len(s.timers) > 0 && s.timers[0].expiry <= now {
+		wt := heap.Pop(&s.timers).(*wallTimer)
 		if tail != nil {
-			tail.next = h
-			h.prev = tail
+			tail.next = wt
 		} else {
-			head = h
+			head = wt
 		}
-		tail = h
-		for tail.next != nil {
-			tail = tail.next
-		}
+		tail = wt
 	}
-	for s.cur < now {
-		next, ok := s.nextPendingTickLocked()
-		if !ok || next > now {
-			s.cur = now
-			break
-		}
-		s.cur = next
-		// Cascade every level whose block starts at this tick: re-file
-		// its due slot's timers one level down — or straight into the
-		// batch when the block start is the expiry itself.
-		for lvl := uint64(1); lvl < wheelLevels; lvl++ {
-			if s.cur&(1<<(wheelBits*lvl)-1) != 0 {
-				break
-			}
-			idx := (s.cur >> (wheelBits * lvl)) & wheelMask
-			if s.occupied[lvl]&(1<<idx) == 0 {
-				continue
-			}
-			run := s.popSlotLocked(lvl, idx)
-			for wt := run; wt != nil; {
-				nx := wt.next
-				wt.prev, wt.next = nil, nil
-				if wt.expiry <= s.cur {
-					appendRun(wt)
-				} else {
-					s.insertLocked(wt)
-				}
-				wt = nx
-			}
-		}
-		idx := s.cur & wheelMask
-		if s.occupied[0]&(1<<idx) != 0 {
-			appendRun(s.popSlotLocked(0, idx))
-		}
-	}
+	s.cur = max(s.cur, now)
 	return head
 }
 
 // fire runs a batch of expired timers under the engine lock, releasing
-// each timer back to the freelist first so callbacks can reschedule into
-// the very slot they fired from.
+// each timer back to the freelist first so a callback's own reschedule
+// can reuse the timer it fired from.
 //
 // With compensation armed, each timer's lag is sampled here — at
 // callback execution, against the timer's own aimed tick — not just at
@@ -693,7 +555,7 @@ func (s *WallShard) fire(batch *wallTimer) {
 	}
 }
 
-// drive is the shard's driver goroutine: advance the wheel to wall time,
+// drive is the shard's driver goroutine: advance the shard to wall time,
 // fire what expired, sleep until the next pending tick (or a kick, when
 // a schedule lands earlier than the planned wake-up).
 //

@@ -72,7 +72,7 @@ func TestCompensationGuardBandAndClamp(t *testing.T) {
 	}
 }
 
-// tickCompensated floors to the wheel tick below the backed-off instant
+// tickCompensated floors to the tick below the backed-off instant
 // — the residual quantization error is early, where tickAt's is late —
 // and never aims into negative time.
 func TestTickCompensatedFloor(t *testing.T) {

@@ -170,7 +170,7 @@ func TestWallShardSteadyStateAllocFree(t *testing.T) {
 	c := NewWallClock(1) // slow scale: nothing fires during the test
 	defer c.Stop()
 	s := c.Shard(0)
-	// Warm the pool and the wheel's occupied paths.
+	// Warm the pool and the heap's backing array.
 	tm := s.Schedule(si.Seconds(7200), func() {})
 	tm.Cancel()
 	allocs := testing.AllocsPerRun(2000, func() {
@@ -190,6 +190,14 @@ func TestWallShardSteadyStateAllocFree(t *testing.T) {
 
 // FIFO within a tick: timers scheduled for the same instant fire in
 // scheduling order, like the virtual clock's sequence tie-break.
+//
+// The order must also hold when the driver refreshes the shard's
+// current tick between two schedulings for one instant.
+// TestWallShardSameTickFIFOAcrossRefresh pins that case: a timer A
+// scheduled far ahead, a helper firing shortly before A's block so the
+// driver wakes, then B for A's instant. A timer structure that files a
+// timer by its distance from the current tick (the hierarchical wheel
+// this shard once had) files B nearer than A and fires B first.
 func TestWallShardSameTickFIFO(t *testing.T) {
 	c := NewWallClockTick(1000, time.Millisecond)
 	defer c.Stop()
@@ -221,6 +229,60 @@ func TestWallShardSameTickFIFO(t *testing.T) {
 			}
 		}
 	})
+}
+
+// See TestWallShardSameTickFIFO. The instants sit on 64-tick blocks,
+// the old wheel's level-0 span: A is filed more than a block ahead of
+// the current tick, B less than one.
+func TestWallShardSameTickFIFOAcrossRefresh(t *testing.T) {
+	const tick = 5 * time.Millisecond
+	c := NewWallClockTick(1, tick)
+	defer c.Stop()
+	s := c.Shard(0)
+	// atTick is an engine instant whose first tick at or after it is tk.
+	atTick := func(tk uint64) si.Seconds {
+		return si.Seconds((time.Duration(tk)*tick - tick/2).Seconds())
+	}
+	for attempt := 0; attempt < 5; attempt++ {
+		cur := c.tickNow()
+		block := (cur/64 + 2) * 64
+		at := atTick(block + 40)
+		var order []string
+		done := make(chan struct{})
+		record := func(name string) func() {
+			return func() {
+				order = append(order, name)
+				if len(order) == 2 {
+					close(done)
+				}
+			}
+		}
+		a := s.Schedule(at, record("A"))
+		s.Schedule(atTick(block-12), func() {}) // its firing refreshes cur
+		for c.tickNow() < block-10 {
+			time.Sleep(time.Millisecond)
+		}
+		b := s.Schedule(at, record("B"))
+		if c.tickNow() >= block {
+			// B landed after the window: the test would pass by
+			// missing it. Try a fresh target.
+			a.Cancel()
+			b.Cancel()
+			continue
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("same-instant timers never fired")
+		}
+		s.Do(func() {
+			if order[0] != "A" {
+				t.Errorf("fire order %v, want scheduling order [A B]", order)
+			}
+		})
+		return
+	}
+	t.Fatal("B was never scheduled inside the window before A's block")
 }
 
 // The point of sharding: scheduling throughput must scale when eight

@@ -14,7 +14,7 @@ import (
 // and posts each expiry to a 1-slot channel. The runtime rounds every
 // timer wait under a millisecond up to a millisecond when it sleeps in
 // the netpoller (an idle process), so a plain time.Timer cannot wake a
-// 100 µs wheel on time; the kernel timer can, and its expiry makes the
+// 100 µs tick on time; the kernel timer can, and its expiry makes the
 // fd readable, which the netpoller reports within microseconds.
 //
 // A nil *shardWake is valid and does nothing: c never fires, so the

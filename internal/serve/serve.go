@@ -8,7 +8,7 @@
 //
 // The server is sharded per disk, mirroring the paper's per-disk
 // service model: every disk runs on its own WallClock shard (its own
-// lock, timer wheel, and driver goroutine), sessions are routed to the
+// lock, timer heap, and driver goroutine), sessions are routed to the
 // shard holding their title by the catalog's placement, and live
 // tallies merge across shards through internal/livemetrics' lock-free
 // per-disk counters — no global lock anywhere on the serving path.
@@ -76,11 +76,11 @@ const Patience = si.Seconds(100)
 // it up, and the aim doubles it).
 const DefaultJitterCompMax = 10 * time.Millisecond
 
-// JitterCompTick is the wall-clock wheel tick a jitter-compensated
-// server runs on. The default millisecond wheel quantizes every timer
-// hop to >= 1 ms — at -scale 1200 that is 1.2 engine seconds per hop,
+// JitterCompTick is the wall-clock tick a jitter-compensated server
+// runs on. The default millisecond tick quantizes every timer hop to
+// >= 1 ms — at -scale 1200 that is 1.2 engine seconds per hop,
 // which alone swamps the model's 1 ms underrun tolerance no matter how
-// well lag is predicted. A 100 µs wheel gives the EWMA compensation
+// well lag is predicted. A 100 µs tick gives the EWMA compensation
 // (which aims in whole wall time, then floors to the tick) the
 // resolution to land timers at their requested instants. What delivers
 // that resolution is each shard's timerfd wake (Linux only, see
@@ -352,10 +352,10 @@ func ladderRates(cfg Config, lib *catalog.Library) []si.BitRate {
 }
 
 // newServeClock builds the server's wall clock per Config: the default
-// millisecond wheel, or — with JitterComp on — the fine JitterCompTick
-// wheel with lag compensation armed. The two come as a pair: without
-// compensation a fine wheel still fires late (OS wakeup lag spans many
-// ticks), and without a fine wheel compensation has nothing to aim with
+// millisecond tick, or — with JitterComp on — the fine JitterCompTick
+// with lag compensation armed. The two come as a pair: without
+// compensation a fine tick still fires late (OS wakeup lag spans many
+// ticks), and without a fine tick compensation has nothing to aim with
 // (every hop rounds up to a full coarse tick anyway).
 func newServeClock(cfg Config) *engine.WallClock {
 	if !cfg.JitterComp {

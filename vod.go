@@ -394,7 +394,7 @@ func NewVirtualClock() *VirtualClock { return engine.NewVirtualClock() }
 // model is per-disk, so the engine only needs each disk's own callbacks
 // serialized: a VirtualClock is a single-shard domain (one deterministic
 // event loop for all disks), a WallClock shards — one independent timer
-// wheel and lock per disk.
+// heap and lock per disk.
 type ClockDomain = engine.ClockDomain
 
 // WallClock is a scaled real-time ClockDomain: each disk gets its own
@@ -403,17 +403,16 @@ type ClockDomain = engine.ClockDomain
 // discipline the simulator gets for free — without cross-disk contention.
 type WallClock = engine.WallClock
 
-// WallShard is one disk's clock inside a WallClock: a hierarchical timer
-// wheel with pooled, generation-checked timers, plus the engine lock for
-// that disk. Drivers wrap every call into a disk in its shard's Do.
+// WallShard is one disk's clock inside a WallClock: a timer heap with
+// pooled, generation-checked timers, plus the engine lock for that disk. Drivers wrap every call into a disk in its shard's Do.
 type WallShard = engine.WallShard
 
 // NewWallClock returns a wall clock running at the given number of
 // engine seconds per wall second.
 func NewWallClock(scale float64) *WallClock { return engine.NewWallClock(scale) }
 
-// NewWallClockTick is NewWallClock with an explicit timer-wheel tick,
-// trading wheel overhead against callback firing granularity.
+// NewWallClockTick is NewWallClock with an explicit tick, trading driver
+// wake-ups against callback firing granularity.
 func NewWallClockTick(scale float64, tick time.Duration) *WallClock {
 	return engine.NewWallClockTick(scale, tick)
 }
@@ -425,7 +424,7 @@ type Scheduler = engine.Scheduler
 
 // Allocator sizes buffers and rules on admissions: the static scheme
 // (Eq. 5 at N), the dynamic predict-and-enforce scheme (Theorem 1 +
-// Assumption 1), the naive strawman of Section 3.1, or DYBASE.
+// Assumption 1), or the naive strawman of Section 3.1.
 type Allocator = engine.Allocator
 
 // The engine's buffer allocation policies.
@@ -438,8 +437,6 @@ type (
 	DynamicAllocator = engine.DynamicAllocator
 	// NaiveAllocator is the flawed strawman of Section 3.1.
 	NaiveAllocator = engine.NaiveAllocator
-	// DybaseAllocator sizes by the DYBASE recurrence (constant k).
-	DybaseAllocator = engine.DybaseAllocator
 )
 
 // Observer receives engine instrumentation callbacks — admissions,

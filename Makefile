@@ -95,9 +95,11 @@ bench-harness:
 	done
 
 # Documentation gate: every relative link and backticked repo path in
-# the maintained docs must resolve, and README.md's architecture
-# inventory must match the package tree both ways (see cmd/docscheck).
+# the maintained docs must resolve, README.md's architecture inventory
+# must match the package tree both ways, every vod.go export must have a
+# caller and every cited one must exist, and nothing under internal/ may
+# import the façade (see cmd/docscheck).
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-ci: vet cross-build fmt-check build test race bench-smoke bench-harness cover docs-check
+ci: vet cross-build fmt-check build test race test-fuzz bench-smoke bench-harness cover docs-check

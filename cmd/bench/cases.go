@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	vod "repro"
+	"repro/internal/engine"
 	"repro/internal/serve"
 )
 
@@ -27,7 +28,7 @@ func cases() []benchCase {
 		measure: func(iters int) (uint64, error) {
 			return mallocs(func() error {
 				for i := 0; i < iters; i++ {
-					e := vod.NewVirtualClock()
+					e := engine.NewVirtualClock()
 					for j := 0; j < 1000; j++ {
 						e.Schedule(vod.Seconds((j*7919)%1000), func() {})
 					}

@@ -1,5 +1,5 @@
 // Command docscheck is the repository's documentation gate (`make
-// docs-check`). It enforces three invariants CI can hold without network
+// docs-check`). It enforces five invariants CI can hold without network
 // access:
 //
 //   - every relative link in the maintained markdown files resolves to
@@ -11,22 +11,38 @@
 //   - README.md's architecture inventory names every package under
 //     internal/, cmd/ and examples/, and every directory its tree lists
 //     under those three headers exists — a new package cannot land
-//     undocumented, nor a deleted one stay listed.
+//     undocumented, nor a deleted one stay listed;
+//   - every name the root package vod (vod.go) exports has a caller: a
+//     vod.<Name> in a Go file under cmd/, examples/ or benchmark/, in
+//     example_test.go or in README.md, or a kept function's signature
+//     naming it — and every vod.<Name> the maintained docs cite is
+//     exported, so the façade neither grows unused promises nor stays
+//     cited for names it dropped;
+//   - no non-test file under internal/ imports the façade: internal
+//     packages build on each other, and the live server must not pull
+//     the simulator and experiment harness in through it.
 //
 // The retrieved source artifacts (PAPER.md, PAPERS.md, SNIPPETS.md,
 // ISSUE.md) are excluded: they are inputs to the project, not
 // documentation of it, and carry extraction debris no one maintains.
-// The path rule also skips ROADMAP.md and CHANGES.md, whose plans and
-// history name files that do not exist yet or no longer do.
+// The path and façade-citation rules also skip ROADMAP.md and
+// CHANGES.md, whose plans and history name files and exports that do
+// not exist yet or no longer do.
 package main
 
 import (
+	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -53,6 +69,13 @@ var pathRE = regexp.MustCompile("`(?:\\./)?((?:internal|cmd|examples|results|ben
 // top-level header.
 var treeEntryRE = regexp.MustCompile(`^  ([\w.-]+)/(?:\s|$)`)
 
+// facadeRE matches a citation of a façade export in prose: vod.Simulate,
+// vod.SimConfig. The file name vod.go is lower case and does not match.
+var facadeRE = regexp.MustCompile(`\bvod\.([A-Z]\w*)`)
+
+// facadeModule is the import path of the root package vod.
+const facadeModule = "repro"
+
 // linkRE matches inline markdown links and images: [text](target) and
 // ![alt](target). Good enough for the prose style these docs use; code
 // spans that happen to contain the pattern would have to look exactly
@@ -66,8 +89,10 @@ func main() {
 // run checks the tree rooted at root and reports problems to w,
 // returning 0 when the docs are clean and 1 otherwise.
 func run(root string, w io.Writer) int {
-	problems := checkDocs(root)
+	exports, problems := checkFacade(root)
+	problems = append(problems, checkDocs(root, exports)...)
 	problems = append(problems, checkInventory(root)...)
+	problems = append(problems, checkInternalImports(root)...)
 	for _, p := range problems {
 		fmt.Fprintln(w, p)
 	}
@@ -80,8 +105,9 @@ func run(root string, w io.Writer) int {
 }
 
 // checkDocs resolves every relative link and every backticked
-// repository path in the maintained markdown files against the tree.
-func checkDocs(root string) []string {
+// repository path in the maintained markdown files against the tree,
+// and every vod.<Name> they cite against the façade's exports.
+func checkDocs(root string, exports map[string]bool) []string {
 	var problems []string
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -126,6 +152,11 @@ func checkDocs(root string) []string {
 			for _, m := range pathRE.FindAllStringSubmatch(line, -1) {
 				if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
 					problems = append(problems, fmt.Sprintf("%s:%d: missing path %s", rel, i+1, m[0]))
+				}
+			}
+			for _, m := range facadeRE.FindAllStringSubmatch(line, -1) {
+				if !exports[m[1]] {
+					problems = append(problems, fmt.Sprintf("%s:%d: %s is not exported by vod.go", rel, i+1, m[0]))
 				}
 			}
 		}
@@ -183,4 +214,170 @@ func checkInventory(root string) []string {
 		}
 	}
 	return problems
+}
+
+// checkFacade parses vod.go and returns its exported names, reporting
+// each one without a caller. A name has a caller when vod.<Name> appears
+// in a Go file under cmd/, examples/ or benchmark/, in example_test.go
+// or in README.md, or when the signature of an exported function with a
+// caller names it (the types a kept function takes or returns stay
+// nameable). vod.go's own tests do not count. A tree without vod.go
+// exports nothing.
+func checkFacade(root string) (map[string]bool, []string) {
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, filepath.Join(root, "vod.go"), nil, parser.SkipObjectResolution)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	var exported []*ast.Ident
+	signatures := map[string]*ast.FuncType{}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				exported = append(exported, d.Name)
+				signatures[d.Name.Name] = d.Type
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch spec := spec.(type) {
+				case *ast.TypeSpec:
+					exported = append(exported, spec.Name)
+				case *ast.ValueSpec:
+					exported = append(exported, spec.Names...)
+				}
+			}
+		}
+	}
+	exported = slices.DeleteFunc(exported, func(id *ast.Ident) bool { return !id.IsExported() })
+	exports := map[string]bool{}
+	for _, id := range exported {
+		exports[id.Name] = true
+	}
+
+	used, problems := facadeCallers(root)
+	for name, sig := range signatures {
+		if used[name] {
+			ast.Inspect(sig, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && exports[id.Name] {
+					used[id.Name] = true
+				}
+				return true
+			})
+		}
+	}
+	for _, id := range exported {
+		if !used[id.Name] {
+			problems = append(problems, fmt.Sprintf("vod.go:%d: exported vod.%s has no caller in cmd/, examples/, benchmark/, example_test.go or README.md",
+				fset.Position(id.Pos()).Line, id.Name))
+		}
+	}
+	return exports, problems
+}
+
+// facadeCallers collects the façade names the callers cite: the
+// vod.<Name> selectors of every Go file importing the façade under cmd/,
+// examples/ and benchmark/ and of example_test.go, and the vod.<Name>
+// citations of README.md.
+func facadeCallers(root string) (map[string]bool, []string) {
+	var files, problems []string
+	if _, err := os.Stat(filepath.Join(root, "example_test.go")); err == nil {
+		files = append(files, filepath.Join(root, "example_test.go"))
+	}
+	for _, dir := range []string{"cmd", "examples", "benchmark"} {
+		found, err := goFiles(root, dir)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+		}
+		files = append(files, found...)
+	}
+	used := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+			continue
+		}
+		local := ""
+		for _, imp := range f.Imports {
+			if imp.Path.Value == strconv.Quote(facadeModule) {
+				local = "vod"
+				if imp.Name != nil {
+					local = imp.Name.Name
+				}
+			}
+		}
+		if local == "" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == local {
+					used[sel.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	if data, err := os.ReadFile(filepath.Join(root, "README.md")); err == nil {
+		for _, m := range facadeRE.FindAllStringSubmatch(string(data), -1) {
+			used[m[1]] = true
+		}
+	}
+	return used, problems
+}
+
+// checkInternalImports reports every non-test Go file under internal/
+// that imports the façade. Tests may: they sit outside the import graph
+// a binary links.
+func checkInternalImports(root string) []string {
+	files, err := goFiles(root, "internal")
+	if err != nil {
+		return []string{fmt.Sprintf("docscheck: %v", err)}
+	}
+	var problems []string
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+		if err != nil {
+			problems = append(problems, fmt.Sprintf("docscheck: %v", err))
+			continue
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == strconv.Quote(facadeModule) {
+				rel, _ := filepath.Rel(root, path)
+				problems = append(problems, fmt.Sprintf("%s:%d: imports the vod façade %s; internal packages import each other",
+					filepath.ToSlash(rel), fset.Position(imp.Pos()).Line, imp.Path.Value))
+			}
+		}
+	}
+	return problems
+}
+
+// goFiles lists the Go files under root/dir, testdata excluded. A
+// missing dir holds none.
+func goFiles(root, dir string) ([]string, error) {
+	var files []string
+	err := filepath.WalkDir(filepath.Join(root, dir), func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case d.IsDir() && d.Name() == "testdata":
+			return filepath.SkipDir
+		case !d.IsDir() && strings.HasSuffix(path, ".go"):
+			files = append(files, path)
+		}
+		return nil
+	})
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	return files, err
 }

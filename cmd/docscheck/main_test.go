@@ -218,3 +218,83 @@ func TestMissingBenchSnapshotFails(t *testing.T) {
 		t.Errorf("%d paths reported, want only BENCH_OLD.json:\n%s", n, out.String())
 	}
 }
+
+// facadeTree writes a minimal tree with a vod.go façade and one command
+// citing part of it.
+func facadeTree(t *testing.T, vodGo string) string {
+	t.Helper()
+	dir := t.TempDir()
+	write(t, dir, "vod.go", vodGo)
+	write(t, dir, "cmd/tool/main.go", "package main\n\nimport v \"repro\"\n\nfunc main() { v.Used(0) }\n")
+	return dir
+}
+
+// Every façade export needs a caller: a command, an example, the
+// benchmark, example_test.go or README.md citing it, or a kept
+// function's signature naming it. The façade's own tests do not count.
+func TestUnreferencedExportFails(t *testing.T) {
+	dir := facadeTree(t, "package vod\n\n"+
+		"type T = int\n\ntype Orphan = int\n\n"+
+		"func Used(T) T { return 0 }\n\n"+
+		"func Unused(Orphan) {}\n\n"+
+		"func InReadme() {}\n\nfunc InExample() {}\n\nfunc InOwnTest() {}\n\n"+
+		"func unexported() {}\n")
+	write(t, dir, "README.md", "cmd/tool/ calls it; see vod.InReadme\n")
+	write(t, dir, "example_test.go", "package vod_test\n\nimport vod \"repro\"\n\nfunc Example() { vod.InExample() }\n")
+	write(t, dir, "vod_test.go", "package vod_test\n\nimport vod \"repro\"\n\nfunc init() { vod.InOwnTest() }\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with unreferenced exports, want 1", code)
+	}
+	for _, want := range []string{
+		"vod.go:5: exported vod.Orphan has no caller",
+		"vod.go:9: exported vod.Unused has no caller",
+		"vod.go:15: exported vod.InOwnTest has no caller",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("problems lack %q:\n%s", want, out.String())
+		}
+	}
+	if n := strings.Count(out.String(), "has no caller"); n != 3 {
+		t.Errorf("%d exports reported, want Orphan, Unused and InOwnTest:\n%s", n, out.String())
+	}
+}
+
+// A maintained doc citing a name the façade does not export fails; the
+// history docs may cite dropped names.
+func TestDocCitesMissingExportFails(t *testing.T) {
+	dir := facadeTree(t, "package vod\n\nfunc Used(int) {}\n")
+	write(t, dir, "README.md", "cmd/tool/ calls vod.Used.\n")
+	write(t, dir, "DESIGN.md", "intro\nthe engine is vod.NewEngine; vod.go is the file\n")
+	write(t, dir, "CHANGES.md", "dropped vod.NewEngine\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with a doc citing a dropped export, want 1", code)
+	}
+	if !strings.Contains(out.String(), "DESIGN.md:2: vod.NewEngine is not exported by vod.go") {
+		t.Errorf("dropped export not reported:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), "not exported"); n != 1 {
+		t.Errorf("%d citations reported, want only DESIGN.md's:\n%s", n, out.String())
+	}
+}
+
+// A non-test file under internal/ may not import the façade; tests and
+// imports of internal packages are fine.
+func TestInternalImportsFacadeFails(t *testing.T) {
+	dir := t.TempDir()
+	write(t, dir, "README.md", "internal/serve and internal/si\n")
+	write(t, dir, "internal/serve/serve.go", "package serve\n\nimport (\n\t\"fmt\"\n\tvod \"repro\"\n)\n")
+	write(t, dir, "internal/serve/serve_test.go", "package serve\n\nimport vod \"repro\"\n")
+	write(t, dir, "internal/si/si.go", "package si\n\nimport \"repro/internal/core\"\n")
+	var out bytes.Buffer
+	if code := run(dir, &out); code != 1 {
+		t.Fatalf("exit %d with an internal package importing the façade, want 1", code)
+	}
+	if !strings.Contains(out.String(), `internal/serve/serve.go:5: imports the vod façade "repro"`) {
+		t.Errorf("façade import not reported:\n%s", out.String())
+	}
+	if n := strings.Count(out.String(), "imports the vod façade"); n != 1 {
+		t.Errorf("%d imports reported, want only serve.go's:\n%s", n, out.String())
+	}
+}

@@ -204,6 +204,7 @@ func TestVirtualClockMonotone(t *testing.T) {
 
 func TestWallClockScaledNow(t *testing.T) {
 	c := NewWallClock(1000) // 1 wall ms = 1 engine second
+	defer c.Stop()
 	time.Sleep(5 * time.Millisecond)
 	if now := c.Now(); now < 4 {
 		t.Errorf("Now = %v, want >= 4 engine seconds after 5 wall ms at scale 1000", now)
@@ -218,6 +219,7 @@ func TestWallClockScaledNow(t *testing.T) {
 
 func TestWallClockAfterFiresUnderLock(t *testing.T) {
 	c := NewWallClock(1000)
+	defer c.Stop()
 	s := c.Shard(0)
 	done := make(chan si.Seconds, 1)
 	s.Do(func() {
@@ -235,6 +237,7 @@ func TestWallClockAfterFiresUnderLock(t *testing.T) {
 
 func TestWallClockCancel(t *testing.T) {
 	c := NewWallClock(1000)
+	defer c.Stop()
 	fired := make(chan struct{}, 1)
 	var tm Timer
 	s := c.Shard(0)
@@ -250,6 +253,7 @@ func TestWallClockCancel(t *testing.T) {
 
 func TestWallClockSchedulePastClampsToNow(t *testing.T) {
 	c := NewWallClock(1000)
+	defer c.Stop()
 	time.Sleep(2 * time.Millisecond) // Now() is past 0 already
 	done := make(chan struct{}, 1)
 	s := c.Shard(0)
@@ -264,7 +268,9 @@ func TestWallClockSchedulePastClampsToNow(t *testing.T) {
 // Callbacks and Do calls are mutually serialized: a counter incremented
 // non-atomically from both never tears under the race detector.
 func TestWallClockSerialization(t *testing.T) {
-	s := NewWallClock(10000).Shard(0)
+	c := NewWallClock(10000)
+	defer c.Stop()
+	s := c.Shard(0)
 	count := 0
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {

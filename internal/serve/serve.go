@@ -51,12 +51,13 @@ import (
 	"sync/atomic"
 	"time"
 
-	vod "repro"
 	"repro/internal/buffer"
 	"repro/internal/catalog"
 	"repro/internal/cluster"
+	"repro/internal/diskmodel"
 	"repro/internal/engine"
 	"repro/internal/livemetrics"
+	"repro/internal/sched"
 	"repro/internal/share"
 	"repro/internal/si"
 	"repro/internal/workload"
@@ -184,7 +185,7 @@ type Server struct {
 	clock *engine.WallClock
 	sys   *engine.System
 	lib   *catalog.Library
-	cr    vod.BitRate
+	cr    si.BitRate
 	live  *livemetrics.Collector
 	share *share.Layer     // nil unless Config.Share
 	fleet *cluster.Cluster // nil unless Config.Cluster >= 2
@@ -246,7 +247,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Adapt && cfg.Share {
 		return nil, fmt.Errorf("serve: mid-stream adaptation and the sharing front end are mutually exclusive")
 	}
-	spec, cr, _ := vod.PaperEnvironment()
+	spec, cr := diskmodel.Barracuda9LP(), catalog.MPEG1Video(0).Rate
 	lib, err := catalog.New(catalog.Config{
 		Titles: 6 * cfg.Disks, Disks: cfg.Disks, Spec: spec, PopularityTheta: 0.271,
 		Video: ladderVideo(cfg),
@@ -267,14 +268,14 @@ func New(cfg Config) (*Server, error) {
 	sys, err := engine.New(engine.Config{
 		Clock:             srv.clock,
 		Allocator:         engine.DynamicAllocator{},
-		Method:            vod.NewMethod(vod.RoundRobin),
+		Method:            sched.NewMethod(sched.RoundRobin),
 		Spec:              spec,
 		CR:                cr,
 		Rates:             ladderRates(cfg, lib),
 		Downgrade:         cfg.Downgrade,
 		Adapt:             adaptConfig(cfg),
 		Alpha:             1,
-		TLog:              vod.Minutes(40),
+		TLog:              si.Minutes(40),
 		Library:           lib,
 		Seed:              cfg.Seed,
 		UnderrunTolerance: serveTolerance(cfg),
@@ -396,7 +397,7 @@ func serveTolerance(cfg Config) si.Seconds {
 // holds 6 copies of the 1.35 GB title, so the title count targets ~4.5
 // copies per disk, leaving the placement policy packing slack.
 func newFleet(cfg Config) (*Server, error) {
-	spec, cr, _ := vod.PaperEnvironment()
+	spec, cr := diskmodel.Barracuda9LP(), catalog.MPEG1Video(0).Rate
 	servers, disksPer := cfg.Cluster, cfg.Disks
 	disks := servers * disksPer
 	cold := min(2, servers)
@@ -428,14 +429,14 @@ func newFleet(cfg Config) (*Server, error) {
 		Engine: engine.Config{
 			Clock:             srv.clock,
 			Allocator:         engine.DynamicAllocator{},
-			Method:            vod.NewMethod(vod.RoundRobin),
+			Method:            sched.NewMethod(sched.RoundRobin),
 			Spec:              spec,
 			CR:                cr,
 			Rates:             rates,
 			Downgrade:         cfg.Downgrade,
 			Adapt:             adaptConfig(cfg),
 			Alpha:             1,
-			TLog:              vod.Minutes(40),
+			TLog:              si.Minutes(40),
 			Seed:              cfg.Seed,
 			UnderrunTolerance: serveTolerance(cfg),
 			// Live connections arrive as fast as clients dial: the
@@ -522,7 +523,7 @@ func (r offsetObserver) OnDepart(disk int, st *engine.Stream, now si.Seconds) {
 func (srv *Server) Clock() *engine.WallClock { return srv.clock }
 
 // CR reports the streams' consumption rate.
-func (srv *Server) CR() vod.BitRate { return srv.cr }
+func (srv *Server) CR() si.BitRate { return srv.cr }
 
 // Metrics exposes the live collector; its Snapshot is the stats dump.
 func (srv *Server) Metrics() *livemetrics.Collector { return srv.live }

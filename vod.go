@@ -30,13 +30,11 @@
 //
 // The canonical environment — a Seagate Barracuda 9LP disk serving
 // 1.5 Mbps MPEG-1 streams, N = 79 — is available via Barracuda9LP and
-// PaperEnvironment.
+// PaperEnvironment. The streaming runtime the simulator and the live
+// server share stays internal; Simulate is its library entry point.
 package vod
 
 import (
-	"io"
-	"time"
-
 	"repro/internal/catalog"
 	"repro/internal/chunk"
 	"repro/internal/core"
@@ -66,8 +64,6 @@ type (
 var (
 	// Mbps returns a rate of v million bits per second.
 	Mbps = si.Mbps
-	// Megabits returns v million bits.
-	Megabits = si.Megabits
 	// Megabytes returns v million bytes, as bits.
 	Megabytes = si.Megabytes
 	// Gigabytes returns v billion bytes, as bits.
@@ -86,10 +82,6 @@ type DiskSpec = diskmodel.Spec
 // Barracuda 9LP with 120 Mbps minimum transfer rate, 6000 cylinders, and
 // N = 79 for MPEG-1 streams.
 func Barracuda9LP() DiskSpec { return diskmodel.Barracuda9LP() }
-
-// Synthetic15K returns a faster, later-generation drive for
-// generalization experiments: N = 319 for MPEG-1 streams.
-func Synthetic15K() DiskSpec { return diskmodel.Synthetic15K() }
 
 // Method is a buffer scheduling method instance.
 type Method = sched.Method
@@ -211,13 +203,6 @@ func NewAdmissionBook() *AdmissionBook { return core.NewBook() }
 // in-service buffer's sizing assumption, and within the capacity nmax.
 func Admit(b *AdmissionBook, n, nmax int) bool { return core.Admit(b, n, nmax) }
 
-// Estimator produces k_log, the arrival-history ingredient of the dynamic
-// scheme's prediction.
-type Estimator = core.Estimator
-
-// NewEstimator returns an estimator with history window tlog.
-func NewEstimator(tlog Seconds) *Estimator { return core.NewEstimator(tlog) }
-
 // Library is a video catalog placed contiguously across the disks of a
 // server, with Zipf popularity.
 type Library = catalog.Library
@@ -240,9 +225,6 @@ func MPEG1Video(id int) Video { return catalog.MPEG1Video(id) }
 // Trace is a generated workload: request arrivals with titles and
 // viewing times.
 type Trace = workload.Trace
-
-// Request is one user request in a trace.
-type Request = workload.Request
 
 // ArrivalSchedule is a piecewise-constant arrival-rate profile.
 type ArrivalSchedule = workload.Schedule
@@ -267,24 +249,14 @@ func GenerateWorkload(s ArrivalSchedule, lib *Library, seed int64) Trace {
 	return workload.Generate(s, lib, seed)
 }
 
-// VCROptions adds VCR activity to generated workloads (Section 1: VCR
-// actions are new requests).
-type VCROptions = workload.VCROptions
-
-// GenerateVCRWorkload is GenerateWorkload with VCR activity: sessions
-// split into request chains at fast-forward/rewind instants.
-func GenerateVCRWorkload(s ArrivalSchedule, lib *Library, seed int64, vcr VCROptions) Trace {
-	return workload.GenerateVCR(s, lib, seed, vcr)
-}
-
 // SimConfig parameterizes one simulation run.
 type SimConfig = sim.Config
 
 // AdaptConfig parameterizes mid-stream bitrate adaptation
-// (SimConfig.Adapt / EngineConfig.Adapt): the buffer-occupancy rate map
-// that steps in-service streams down their title's ladder below the
-// reservoir and back up under sustained bandwidth headroom. The zero
-// value selects the engine defaults; see the field docs for the knobs.
+// (SimConfig.Adapt): the buffer-occupancy rate map that steps in-service
+// streams down their title's ladder below the reservoir and back up under
+// sustained bandwidth headroom. The zero value selects the engine
+// defaults; see the field docs for the knobs.
 type AdaptConfig = engine.AdaptConfig
 
 // SimResult carries a run's measurements: latency by load level,
@@ -328,9 +300,8 @@ type ExperimentOptions = experiments.Options
 // ExperimentReport is one experiment's regenerated series and tables.
 type ExperimentReport = experiments.Report
 
-// RunExperiment regenerates one of the paper's tables or figures by id
-// ("table3", "fig6".."fig14", "table4", "table5", "ablation-naive",
-// "ablation-gss-group").
+// RunExperiment regenerates one of the paper's tables or figures, or one
+// of the extension scenarios, by id; Experiments lists the ids.
 func RunExperiment(id string, opt ExperimentOptions) (*ExperimentReport, error) {
 	return experiments.Run(id, opt)
 }
@@ -346,11 +317,6 @@ type RateSet = core.RateSet
 // NewRateSet validates a family of display rates.
 func NewRateSet(rates []BitRate) (*RateSet, error) { return core.NewRateSet(rates) }
 
-// DybaseBufferSize evaluates the sizing of DYBASE, the paper's cited
-// precursor (Information Sciences 137, 2001): the Theorem 1 recurrence
-// without the inertia assumptions — k stays constant along the chain.
-func DybaseBufferSize(p Params, dl Seconds, n, k int) Bits { return p.DybaseSize(dl, n, k) }
-
 // ChunkLayout plans footnote 3's chunked video storage: fixed-size chunks
 // with replication so every read up to MaxRead stays within one chunk.
 type ChunkLayout = chunk.Layout
@@ -359,114 +325,3 @@ type ChunkLayout = chunk.Layout
 func NewChunkLayout(video, chunkSize, maxRead Bits) (*ChunkLayout, error) {
 	return chunk.NewLayout(video, chunkSize, maxRead)
 }
-
-// ChunkAllocator places chunk extents on a disk (first fit, coalescing
-// free list).
-type ChunkAllocator = chunk.Allocator
-
-// NewChunkAllocator returns an allocator over a disk of the given capacity.
-func NewChunkAllocator(capacity Bits) *ChunkAllocator { return chunk.NewAllocator(capacity) }
-
-// ReadTraceCSV parses a workload trace written by Trace.WriteCSV.
-func ReadTraceCSV(r io.Reader) (Trace, error) { return workload.ReadCSV(r) }
-
-// TraceStats summarizes a trace (Trace.Summarize).
-type TraceStats = workload.Stats
-
-// Clock abstracts time for the streaming engine. The paper's mechanism
-// is clock-agnostic: the simulator drives it with a VirtualClock
-// (discrete-event time) and a live server with a WallClock (scaled real
-// time), and the engine behaves identically under both.
-type Clock = engine.Clock
-
-// ClockTimer is a cancelable pending callback on a Clock.
-type ClockTimer = engine.Timer
-
-// VirtualClock is a discrete-event clock: callbacks run in (time,
-// scheduling-order) sequence as the clock jumps between events. It is
-// what makes simulation runs deterministic and byte-identical.
-type VirtualClock = engine.VirtualClock
-
-// NewVirtualClock returns a virtual clock at time zero.
-func NewVirtualClock() *VirtualClock { return engine.NewVirtualClock() }
-
-// ClockDomain hands out the clock driving each disk. The paper's service
-// model is per-disk, so the engine only needs each disk's own callbacks
-// serialized: a VirtualClock is a single-shard domain (one deterministic
-// event loop for all disks), a WallClock shards — one independent timer
-// heap and lock per disk.
-type ClockDomain = engine.ClockDomain
-
-// WallClock is a scaled real-time ClockDomain: each disk gets its own
-// WallShard, whose lock serializes that disk's engine callbacks, so a
-// live multi-goroutine server satisfies per shard the single-threaded
-// discipline the simulator gets for free — without cross-disk contention.
-type WallClock = engine.WallClock
-
-// WallShard is one disk's clock inside a WallClock: a timer heap with
-// pooled, generation-checked timers, plus the engine lock for that disk. Drivers wrap every call into a disk in its shard's Do.
-type WallShard = engine.WallShard
-
-// NewWallClock returns a wall clock running at the given number of
-// engine seconds per wall second.
-func NewWallClock(scale float64) *WallClock { return engine.NewWallClock(scale) }
-
-// NewWallClockTick is NewWallClock with an explicit tick, trading driver
-// wake-ups against callback firing granularity.
-func NewWallClockTick(scale float64, tick time.Duration) *WallClock {
-	return engine.NewWallClockTick(scale, tick)
-}
-
-// Scheduler orders buffer services on one disk: the paper's three
-// methods — Round-Robin with BubbleUp, Sweep*, GSS* (Section 2.2) —
-// implement it, and NewEngine picks one by Method.
-type Scheduler = engine.Scheduler
-
-// Allocator sizes buffers and rules on admissions: the static scheme
-// (Eq. 5 at N), the dynamic predict-and-enforce scheme (Theorem 1 +
-// Assumption 1), or the naive strawman of Section 3.1.
-type Allocator = engine.Allocator
-
-// The engine's buffer allocation policies.
-type (
-	// StaticAllocator always allocates the full-load size (Section 2.3).
-	StaticAllocator = engine.StaticAllocator
-	// DynamicAllocator implements predict-and-enforce (Section 3): sizes
-	// by Theorem 1, records inertia snapshots, defers violating
-	// admissions per Fig. 5.
-	DynamicAllocator = engine.DynamicAllocator
-	// NaiveAllocator is the flawed strawman of Section 3.1.
-	NaiveAllocator = engine.NaiveAllocator
-)
-
-// Observer receives engine instrumentation callbacks — admissions,
-// deferrals (Fig. 5 enforcement), fills, k_log estimates and their
-// resolutions, underruns, departures. The simulator's metrics and the
-// live server's session plumbing are both Observers.
-type Observer = engine.Observer
-
-// NopObserver ignores every callback; embed it to observe selectively.
-type NopObserver = engine.NopObserver
-
-// ObserverList fans callbacks out to several observers in order.
-type ObserverList = engine.Observers
-
-// RejectReason says why the engine turned an arrival away: disk
-// capacity (n = N, Eq. 1), the memory budget, or a stream rate the
-// engine was not configured to size.
-type RejectReason = engine.RejectReason
-
-// Engine is the shared streaming runtime: per-disk service loops,
-// deferral queues, and prediction bookkeeping, driven by any Clock.
-type Engine = engine.System
-
-// EngineConfig parameterizes NewEngine.
-type EngineConfig = engine.Config
-
-// EngineStream is one in-service request inside the engine.
-type EngineStream = engine.Stream
-
-// NewEngine builds the streaming runtime both drivers share: Simulate
-// wraps it under a VirtualClock; cmd/vodserver drives it live under a
-// WallClock.
-func NewEngine(cfg EngineConfig) (*Engine, error) { return engine.New(cfg) }

@@ -2,7 +2,6 @@ package vod_test
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	vod "repro"
@@ -110,16 +109,6 @@ func TestFacadeRateSet(t *testing.T) {
 	}
 }
 
-func TestFacadeDybase(t *testing.T) {
-	spec, _, p := vod.PaperEnvironment()
-	dl := vod.WorstDiskLatency(vod.NewMethod(vod.RoundRobin), spec, 10)
-	dy := vod.DybaseBufferSize(p, dl, 10, 4)
-	dyn := vod.DynamicBufferSize(p, dl, 10, 4)
-	if dy <= 0 || dy > dyn {
-		t.Errorf("dybase %v should sit in (0, dynamic %v]", dy, dyn)
-	}
-}
-
 func TestFacadeChunks(t *testing.T) {
 	layout, err := vod.NewChunkLayout(vod.Megabytes(100), vod.Megabytes(20), vod.Megabytes(10))
 	if err != nil {
@@ -127,43 +116,5 @@ func TestFacadeChunks(t *testing.T) {
 	}
 	if layout.Chunks() < 9 {
 		t.Errorf("chunks = %d", layout.Chunks())
-	}
-	alloc := vod.NewChunkAllocator(vod.Megabytes(500))
-	if _, err := alloc.Alloc(vod.Megabytes(20)); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFacadeVCRWorkloadAndTraceIO(t *testing.T) {
-	spec, _, _ := vod.PaperEnvironment()
-	lib, err := vod.NewLibrary(vod.LibraryConfig{Titles: 3, Disks: 1, Spec: spec, PopularityTheta: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := vod.GenerateVCRWorkload(vod.ZipfDaySchedule(60, 1, vod.Hours(1), vod.Hours(2)), lib, 1,
-		vod.VCROptions{ActionsPerHour: 10})
-	vcr := 0
-	for _, r := range tr.Requests {
-		if r.VCR {
-			vcr++
-		}
-	}
-	if vcr == 0 {
-		t.Fatal("no VCR continuations")
-	}
-	var buf strings.Builder
-	if err := tr.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := vod.ReadTraceCSV(strings.NewReader(buf.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back.Requests) != len(tr.Requests) {
-		t.Errorf("round trip lost requests")
-	}
-	st := back.Summarize(1)
-	if st.Requests != len(tr.Requests) {
-		t.Errorf("stats requests = %d", st.Requests)
 	}
 }
